@@ -38,6 +38,7 @@ from .formats import (
     RoundingMode,
     Special,
     Value,
+    ZERO,
     bits_to_hex,
     decode,
     encode,
@@ -211,22 +212,9 @@ class _SessionBase:
         if vec.k > self.handshake.kmax:
             raise UnsupportedError(
                 f"k={vec.k} exceeds backend kmax={self.handshake.kmax}")
-        a_hex, b_hex = [], []
-        for a, b in vec.pairs:
-            bits_a, fl_a = encode(a, fin)
-            bits_b, fl_b = encode(b, fin)
-            if fl_a.inexact or fl_b.inexact:
-                raise FormatContract(
-                    f"operand of {vec.label} not exact in {fin.name}")
-            a_hex.append(bits_to_hex(bits_a, fin))
-            b_hex.append(bits_to_hex(bits_b, fin))
-        c_bits, fl_c = encode(vec.c, fout)
-        if fl_c.inexact:
-            raise FormatContract(
-                f"addend of {vec.label} not exact in {fout.name}")
+        a_hex, b_hex, c_hex = _vector_hex(vec, fin, fout)
         req = MmaRequest(id=self._take_id(), fin=fin.name, fout=fout.name,
-                         k=vec.k, a=tuple(a_hex), b=tuple(b_hex),
-                         c=bits_to_hex(c_bits, fout))
+                         k=vec.k, a=a_hex, b=b_hex, c=c_hex)
         reply = self.evaluate(req)
         self.log.append(EvidenceEntry(vec.label, req.to_json(),
                                       reply.to_json()))
@@ -235,13 +223,54 @@ class _SessionBase:
                 raise UnsupportedError(reply.error_message)
             raise TransportError(
                 f"{reply.error_code}: {reply.error_message}")
-        return decode(hex_to_bits(reply.d, fout), fout)
+        return _from_hex(reply.d, fout)
 
 
-def _sim_pairs(formats: dict[str, FpFormat]) -> tuple[tuple[str, str], ...]:
-    names = list(formats)
-    return tuple((fi, fo) for fi in names for fo in names
-                 if formats[fi].precision <= formats[fo].precision)
+def _to_hex(v: Value, fmt: FpFormat, what: str,
+            rm: Optional[RoundingMode] = None) -> str:
+    """Wire hex of ``v`` in ``fmt``, rounded under ``rm`` if one is given.
+
+    Without ``rm`` the value must be exact in ``fmt``; otherwise
+    ``FormatContract`` names ``what``.  This and ``_from_hex`` are the only
+    places values cross to and from the wire form.
+    """
+    bits, flags = encode(v, fmt, rm or RoundingMode.RNE)
+    if rm is None and flags.inexact:
+        raise FormatContract(f"{what} not exact in {fmt.name}")
+    return bits_to_hex(bits, fmt)
+
+
+def _from_hex(text: str, fmt: FpFormat) -> Value:
+    return decode(hex_to_bits(text, fmt), fmt)
+
+
+def _vector_hex(vec: ProbeVector, fin: FpFormat, fout: FpFormat,
+                ) -> tuple[tuple[str, ...], tuple[str, ...], str]:
+    """Exact wire form of a probe vector: (a operands, b operands, addend)."""
+    what = f"operand of {vec.label}"
+    return (tuple(_to_hex(a, fin, what) for a, _ in vec.pairs),
+            tuple(_to_hex(b, fin, what) for _, b in vec.pairs),
+            _to_hex(vec.c, fout, f"addend of {vec.label}"))
+
+
+def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
+             cfg: BlockFmaConfig, fin: FpFormat, fout: FpFormat) -> str:
+    """One output element: decode, check the products, ``mma_dot``, encode.
+
+    Raises ``ValueError`` on a malformed pattern, ``FormatContract`` when a
+    product is not exact, ``ArithmeticError`` from the simulator.
+    """
+    a = [_from_hex(h, fin) for h in a_hex]
+    b = [_from_hex(h, fin) for h in b_hex]
+    c = _from_hex(c_hex, fout)
+    finite_pairs = [(x, y) for x, y in zip(a, b)
+                    if not isinstance(x, Special)
+                    and not isinstance(y, Special)]
+    exact_products([x for x, _ in finite_pairs],
+                   [y for _, y in finite_pairs], fin, fout)
+    d = mma_dot(c, a, b, cfg, fout)
+    rm = cfg.rm_intra if isinstance(d, Dyadic) else RoundingMode.RNE
+    return _to_hex(d, fout, "result", rm)
 
 
 def _evaluate_with_config(req: MmaRequest, cfg: BlockFmaConfig,
@@ -256,26 +285,15 @@ def _evaluate_with_config(req: MmaRequest, cfg: BlockFmaConfig,
         return MmaReply(req.id, error_code="Unsupported",
                         error_message=f"k={req.k} exceeds kmax={cfg.max_k}")
     try:
-        a = [decode(hex_to_bits(h, fin), fin) for h in req.a]
-        b = [decode(hex_to_bits(h, fin), fin) for h in req.b]
-        c = decode(hex_to_bits(req.c, fout), fout)
-    except ValueError as e:
-        return MmaReply(req.id, error_code="BadRequest", error_message=str(e))
-    try:
-        finite_pairs = [(x, y) for x, y in zip(a, b)
-                        if not isinstance(x, Special)
-                        and not isinstance(y, Special)]
-        exact_products([x for x, _ in finite_pairs],
-                       [y for _, y in finite_pairs], fin, fout)
-        d = mma_dot(c, a, b, cfg, fout)
+        return MmaReply(req.id, d=_dot_hex(req.a, req.b, req.c, cfg, fin,
+                                           fout))
     except (FormatContract, SizeContract) as e:
         return MmaReply(req.id, error_code="Unsupported",
                         error_message=str(e))
+    except ValueError as e:
+        return MmaReply(req.id, error_code="BadRequest", error_message=str(e))
     except ArithmeticError as e:
         return MmaReply(req.id, error_code="Internal", error_message=str(e))
-    rm = cfg.rm_intra if isinstance(d, Dyadic) else RoundingMode.RNE
-    bits, _ = encode(d, fout, rm)
-    return MmaReply(req.id, d=bits_to_hex(bits, fout))
 
 
 class SimBackend(_SessionBase):
@@ -286,11 +304,12 @@ class SimBackend(_SessionBase):
         super().__init__()
         self.cfg = cfg
         self.formats = dict(formats or REGISTRY)
-        self.handshake = Handshake(
-            proto=PROTO_VERSION,
-            pairs=_sim_pairs(self.formats),
-            kmax=cfg.max_k,
-        )
+        names = list(self.formats)
+        pairs = tuple((fi, fo) for fi in names for fo in names
+                      if self.formats[fi].precision
+                      <= self.formats[fo].precision)
+        self.handshake = Handshake(proto=PROTO_VERSION, pairs=pairs,
+                                   kmax=cfg.max_k)
 
     def evaluate(self, req: MmaRequest) -> MmaReply:
         return _evaluate_with_config(req, self.cfg, self.formats)
@@ -418,10 +437,8 @@ def serve(cfg: BlockFmaConfig, stdin=None, stdout=None,
     """
     inp = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
-    fmts = dict(formats or REGISTRY)
-    hs = Handshake(proto=PROTO_VERSION, pairs=_sim_pairs(fmts),
-                   kmax=cfg.max_k)
-    out.write(hs.to_json() + "\n")
+    sim = SimBackend(cfg, formats)
+    out.write(sim.handshake.to_json() + "\n")
     out.flush()
     for raw in inp:
         line = raw.strip()
@@ -434,7 +451,7 @@ def serve(cfg: BlockFmaConfig, stdin=None, stdout=None,
                                error_message=str(e)).to_json() + "\n")
             out.flush()
             continue
-        out.write(_evaluate_with_config(req, cfg, fmts).to_json() + "\n")
+        out.write(sim.evaluate(req).to_json() + "\n")
         out.flush()
     return 0
 
@@ -451,45 +468,29 @@ def embed_scalar_test(vec: ProbeVector, tile: tuple[int, int, int],
     m, n, k0 = tile
     if vec.k > k0:
         raise SizeContract(f"probe k={vec.k} exceeds tile k0={k0}")
-    zero_in = bits_to_hex(encode(Dyadic(1, 0, 0), fin)[0], fin)
-    zero_out = bits_to_hex(encode(Dyadic(1, 0, 0), fout)[0], fout)
-
-    def in_hex(v: Dyadic) -> str:
-        bits, fl = encode(v, fin)
-        if fl.inexact:
-            raise FormatContract(f"operand {v!r} not exact in {fin.name}")
-        return bits_to_hex(bits, fin)
-
+    zero_in = _to_hex(ZERO, fin, "zero")
+    zero_out = _to_hex(ZERO, fout, "zero")
     A = [[zero_in] * k0 for _ in range(m)]
     B = [[zero_in] * n for _ in range(k0)]
     C = [[zero_out] * n for _ in range(m)]
-    for idx, (a, b) in enumerate(vec.pairs):
-        A[0][idx] = in_hex(a)
-        B[idx][0] = in_hex(b)
-    c_bits, fl = encode(vec.c, fout)
-    if fl.inexact:
-        raise FormatContract(f"addend {vec.c!r} not exact in {fout.name}")
-    C[0][0] = bits_to_hex(c_bits, fout)
+    a_hex, b_hex, C[0][0] = _vector_hex(vec, fin, fout)
+    for idx, (a, b) in enumerate(zip(a_hex, b_hex)):
+        A[0][idx] = a
+        B[idx][0] = b
     return A, B, C
 
 
 def evaluate_tile(A: Sequence[Sequence[str]], B: Sequence[Sequence[str]],
                   C: Sequence[Sequence[str]], cfg: BlockFmaConfig,
                   fin: FpFormat, fout: FpFormat) -> list[list[str]]:
-    """Whole-tile simulator evaluation: every D element via the block model."""
-    m = len(A)
+    """Whole-tile simulator evaluation: every D element via the block model.
+
+    Each element goes through the same evaluator as a scalar request, so a
+    product that is not exact raises ``FormatContract``.
+    """
     k0 = len(B)
     n = len(B[0]) if B else 0
-    D: list[list[str]] = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            a = [decode(hex_to_bits(A[i][l], fin), fin) for l in range(k0)]
-            b = [decode(hex_to_bits(B[l][j], fin), fin) for l in range(k0)]
-            c = decode(hex_to_bits(C[i][j], fout), fout)
-            d = mma_dot(c, a, b, cfg, fout)
-            rm = cfg.rm_intra if isinstance(d, Dyadic) else RoundingMode.RNE
-            bits, _ = encode(d, fout, rm)
-            row.append(bits_to_hex(bits, fout))
-        D.append(row)
-    return D
+    return [[_dot_hex([A[i][l] for l in range(k0)],
+                      [B[l][j] for l in range(k0)], C[i][j], cfg, fin, fout)
+             for j in range(n)]
+            for i in range(len(A))]

@@ -22,6 +22,8 @@ from .backend import (
     BackendError,
     TransportError,
     MmaRequest,
+    _to_hex,
+    _vector_hex,
     open_backend,
     serve,
 )
@@ -29,6 +31,7 @@ from .formats import FpFormat, lookup_format
 from .inference import InferOptions, infer_features, render_report
 from .presets import PRESET_NAMES, load_config
 from .probes import (
+    NotFactorable,
     Probe,
     ProbeVector,
     gen_alignment_bits_probe,
@@ -43,7 +46,7 @@ from .probes import (
     width_test_expected,
     carry_test_vector,
 )
-from .formats import bits_to_hex, encode
+from .simulator import FormatContract
 
 EX_OK = 0
 EX_ERROR = 1
@@ -69,13 +72,8 @@ def _format_or_die(name: str) -> FpFormat:
 
 
 def _vec_to_obj(vec: ProbeVector, fin: FpFormat, fout: FpFormat) -> dict:
-    return {
-        "label": vec.label,
-        "c": bits_to_hex(encode(vec.c, fout)[0], fout),
-        "a": [bits_to_hex(encode(a, fin)[0], fin) for a, _ in vec.pairs],
-        "b": [bits_to_hex(encode(b, fin)[0], fin) for _, b in vec.pairs],
-        "k": vec.k,
-    }
+    a, b, c = _vector_hex(vec, fin, fout)
+    return {"label": vec.label, "c": c, "a": a, "b": b, "k": vec.k}
 
 
 def _probe_to_record(name: str, probe: Probe, fin: FpFormat,
@@ -83,7 +81,7 @@ def _probe_to_record(name: str, probe: Probe, fin: FpFormat,
     rows = []
     for expected, verdict in probe.rows:
         rows.append({
-            "observed": [bits_to_hex(encode(e, fout)[0], fout)
+            "observed": [_to_hex(e, fout, f"{name} classifier row")
                          for e in expected],
             "verdict": list(verdict) if isinstance(verdict, tuple) else verdict,
         })
@@ -111,7 +109,7 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
         "vectors": [_vec_to_obj(v, fin, fout) for v in vecs]
         + [_vec_to_obj(cvec, fin, fout)],
         "expected_exact": [
-            bits_to_hex(encode(width_test_expected(v), fout)[0], fout)
+            _to_hex(width_test_expected(v), fout, f"exact sum of {v.label}")
             for v in vecs],
         "note": "iterate k upward; either polarity off the exact sum marks "
                 "the block boundary at k-1; the carry vector matching "
@@ -195,6 +193,9 @@ def cmd_probe(args) -> int:
     opts = InferOptions(k_max=args.kmax, j=j, t=t)
     try:
         report = infer_features(session, fin.name, fout.name, opts)
+    except NotFactorable as e:
+        print(f"error: --seed-params: {e}", file=sys.stderr)
+        return EX_USAGE
     finally:
         session.close()
     if args.stamp:
@@ -249,7 +250,7 @@ def cmd_gen_vectors(args) -> int:
     for name in names:
         try:
             records.extend(_gen_records(name, fin, fout, args))
-        except _Dependency as e:
+        except (_Dependency, FormatContract, NotFactorable) as e:
             if args.probe == "all":
                 records.append({"probe": name, "skipped": str(e)})
             else:

@@ -14,15 +14,17 @@ input travels, so the driver resolves them in stages:
 8. inter-block rounding (width and ordering known).
 
 A stage whose preconditions are unmet records an undetermined value with
-the reason; a verdict is never guessed.  Every request/reply is kept in
-the evidence log so third parties can re-classify raw observations.
+the reason; a verdict is never guessed.  The report's evidence is the
+session log of the exchanges it sent, in order, including the one that
+aborted an incomplete report, so third parties can re-classify the raw
+observations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 from .formats import FpFormat, lookup_format
 from .probes import (
@@ -39,7 +41,8 @@ from .probes import (
     gen_subnormal_probes,
     run_algorithm1,
 )
-from .backend import BackendError, TransportError, UnsupportedError
+from .backend import BackendError, UnsupportedError
+from .simulator import FormatContract
 
 __all__ = [
     "SCHEMA",
@@ -165,35 +168,8 @@ class InferOptions:
 
 _C_ANCHORED = ("CFirst", "CWithLast")
 
-
-class _Prober:
-    """Stage runner binding a session to one format pair."""
-
-    def __init__(self, session, fin: FpFormat, fout: FpFormat,
-                 report: FeatureReport) -> None:
-        self.session = session
-        self.fin = fin
-        self.fout = fout
-        self.report = report
-
-    def run(self, probe: Probe) -> Verdict:
-        observed = [self.session.run_vector(self.fin, self.fout, vec)
-                    for vec in probe.vectors]
-        verdict = probe.classify(observed)
-        start = len(self.session.log) - len(probe.vectors)
-        for entry in self.session.log[start:]:
-            self.report.evidence.append({
-                "label": entry.label, "request": entry.request,
-                "reply": entry.reply})
-        return verdict
-
-    def run_vector_logged(self, vec: ProbeVector):
-        value = self.session.run_vector(self.fin, self.fout, vec)
-        entry = self.session.log[-1]
-        self.report.evidence.append({
-            "label": entry.label, "request": entry.request,
-            "reply": entry.reply})
-        return value
+# Runs one probe for the report's format pair and classifies the outputs.
+_Run = Callable[[Probe], Verdict]
 
 
 def _verdict_field(verdict: Verdict, reason_if_undet: str = "") -> Field:
@@ -210,30 +186,35 @@ def infer_features(session, fin_name: str, fout_name: str,
     fin = lookup_format(fin_name)
     fout = lookup_format(fout_name)
     report = FeatureReport(fin=fin.name, fout=fout.name)
-    prober = _Prober(session, fin, fout, report)
+    start = len(session.log)
     try:
-        _pipeline(prober, report, opts)
-    except (TransportError, BackendError) as e:
+        _pipeline(session, fin, fout, report, opts)
+    except (BackendError, FormatContract) as e:
         report.complete = False
         report.notes.append(f"aborted: {e}")
+    finally:
+        report.evidence = [
+            {"label": x.label, "request": x.request, "reply": x.reply}
+            for x in session.log[start:]]
     return report
 
 
-def _pipeline(prober: _Prober, report: FeatureReport,
+def _pipeline(session, fin: FpFormat, fout: FpFormat, report: FeatureReport,
               opts: InferOptions) -> None:
-    fin, fout = prober.fin, prober.fout
-    session = prober.session
+    def run(probe: Probe) -> Verdict:
+        return probe.classify([session.run_vector(fin, fout, vec)
+                               for vec in probe.vectors])
 
     # 1. subnormal support
     probe_in, probe_out = gen_subnormal_probes(fin, fout)
-    report.subnormal_in = _verdict_field(prober.run(probe_in))
-    report.subnormal_out = _verdict_field(prober.run(probe_out))
+    report.subnormal_in = _verdict_field(run(probe_in))
+    report.subnormal_out = _verdict_field(run(probe_out))
 
     # 2. block width and raw carry headroom
     k_cap = min(opts.k_max, session.handshake.kmax)
 
     def evaluate(_expected, vec: ProbeVector):
-        return prober.run_vector_logged(vec)
+        return session.run_vector(fin, fout, vec)
 
     scan = run_algorithm1(evaluate, fin, fout, k_cap, extended=True)
     deferred_proven = False
@@ -277,7 +258,7 @@ def _pipeline(prober: _Prober, report: FeatureReport,
         elif 2 * width <= session.handshake.kmax:
             try:
                 report.ordering = _verdict_field(
-                    prober.run(gen_ordering_probe(fin, fout, width, opts.j)))
+                    run(gen_ordering_probe(fin, fout, width, opts.j)))
             except UnsupportedError as e:
                 report.ordering = Field.undetermined(str(e))
         else:
@@ -310,11 +291,11 @@ def _pipeline(prober: _Prober, report: FeatureReport,
             f"{ordering or 'unknown'}")
 
     # 5. extra alignment bits
-    report.n_eab = _alignment_sweep(prober, report, opts, ordering,
+    report.n_eab = _alignment_sweep(run, fin, fout, report, opts, ordering,
                                     deferred_proven)
 
     # 6. normalisation timing
-    report.immediate_norm = _normalisation_stage(prober, report, opts,
+    report.immediate_norm = _normalisation_stage(run, fin, fout, report, opts,
                                                  ordering, deferred_proven)
 
     # 7. per-block final rounding
@@ -337,23 +318,23 @@ def _pipeline(prober: _Prober, report: FeatureReport,
                 "per-block rounding vectors assume no reliance on "
                 "alignment bits; they hold for the detected width")
         report.rm_bfma = _verdict_field(
-            prober.run(gen_rm_bfma_probe(fin, fout, opts.j)))
+            run(gen_rm_bfma_probe(fin, fout, opts.j)))
 
     # 8. post-alignment reduction mode
-    report.rm_post_alignment = _post_alignment_stage(prober, report, opts,
-                                                     c_anchored)
+    report.rm_post_alignment = _post_alignment_stage(run, fin, fout, report,
+                                                     opts, c_anchored)
 
     # 9. inter-block rounding
-    report.rm_mbfma = _rm_mbfma_stage(prober, report, opts, ordering)
+    report.rm_mbfma = _rm_mbfma_stage(run, fin, fout, report, opts, ordering)
 
     undet = sum(1 for f in report.field_map().values() if not f.determinate)
     if undet:
         report.notes.append(f"{undet} feature(s) undetermined")
 
 
-def _alignment_sweep(prober: _Prober, report: FeatureReport,
-                     opts: InferOptions, ordering: Optional[str],
-                     deferred_proven: bool) -> Field:
+def _alignment_sweep(run: _Run, fin: FpFormat, fout: FpFormat,
+                     report: FeatureReport, opts: InferOptions,
+                     ordering: Optional[str], deferred_proven: bool) -> Field:
     width_f = report.fma_width
     if not width_f.exact:
         return Field.undetermined("width unknown")
@@ -368,16 +349,15 @@ def _alignment_sweep(prober: _Prober, report: FeatureReport,
         return Field.undetermined(
             "addend outside blocks and per-addition rounding not excluded")
 
-    fin, fout = prober.fin, prober.fout
     cancel_ok = width >= 3
     n = 1
     while n <= width - 1:
         verdicts = []
         if not tree:
-            verdicts.append(prober.run(
+            verdicts.append(run(
                 gen_alignment_bits_probe(fin, fout, n, opts.j)))
         if cancel_ok:
-            verdicts.append(prober.run(
+            verdicts.append(run(
                 gen_alignment_cancel_probe(fin, fout, n, opts.j)))
         # The cancellation outcome is exact and rounding-free; prefer it.
         chosen = next((v for v in reversed(verdicts) if v.determinate), None)
@@ -392,8 +372,9 @@ def _alignment_sweep(prober: _Prober, report: FeatureReport,
                  "ladder capped at one product below the block width")
 
 
-def _normalisation_stage(prober: _Prober, report: FeatureReport,
-                         opts: InferOptions, ordering: Optional[str],
+def _normalisation_stage(run: _Run, fin: FpFormat, fout: FpFormat,
+                         report: FeatureReport, opts: InferOptions,
+                         ordering: Optional[str],
                          deferred_proven: bool) -> Field:
     width_f = report.fma_width
     if not width_f.exact:
@@ -422,20 +403,21 @@ def _normalisation_stage(prober: _Prober, report: FeatureReport,
                      "no carry headroom: immediate normalisation implied")
     if eab.determinate and (eab.value or 0) >= 1:
         if width >= 2:
-            return _verdict_field(prober.run(gen_normalisation_probe(
-                prober.fin, prober.fout, "carry_and_align", opts.t)))
+            return _verdict_field(run(gen_normalisation_probe(
+                fin, fout, "carry_and_align", opts.t)))
         return Field.undetermined("needs two products in one block")
     if eab.determinate and eab.value == 0:
         if width >= 3:
-            return _verdict_field(prober.run(gen_normalisation_probe(
-                prober.fin, prober.fout, "carry_only")))
+            return _verdict_field(run(gen_normalisation_probe(
+                fin, fout, "carry_only")))
         return Field.undetermined(
             "carry-only timing test needs three products per block")
     return Field.undetermined("alignment presence unknown")
 
 
-def _post_alignment_stage(prober: _Prober, report: FeatureReport,
-                          opts: InferOptions, c_anchored: bool) -> Field:
+def _post_alignment_stage(run: _Run, fin: FpFormat, fout: FpFormat,
+                          report: FeatureReport, opts: InferOptions,
+                          c_anchored: bool) -> Field:
     width_f = report.fma_width
     if not (width_f.exact and c_anchored):
         return Field.undetermined(
@@ -450,12 +432,13 @@ def _post_alignment_stage(prober: _Prober, report: FeatureReport,
     if eab.value >= 2:
         return Field.undetermined(
             "straddle values for more than one extra bit need finer tests")
-    return _verdict_field(prober.run(gen_post_alignment_rounding_probe(
-        prober.fin, prober.fout, int(eab.value), opts.j)))
+    return _verdict_field(run(gen_post_alignment_rounding_probe(
+        fin, fout, int(eab.value), opts.j)))
 
 
-def _rm_mbfma_stage(prober: _Prober, report: FeatureReport,
-                    opts: InferOptions, ordering: Optional[str]) -> Field:
+def _rm_mbfma_stage(run: _Run, fin: FpFormat, fout: FpFormat,
+                    report: FeatureReport, opts: InferOptions,
+                    ordering: Optional[str]) -> Field:
     width_f = report.fma_width
     if not width_f.exact or ordering is None:
         return Field.undetermined("needs a known width and ordering")
@@ -473,10 +456,10 @@ def _rm_mbfma_stage(prober: _Prober, report: FeatureReport,
     if eab.determinate and (eab.value or 0) >= 1:
         eab_param = 1  # the half-ulp survives the combine alignment
     try:
-        probe = gen_rm_mbfma_probe(prober.fin, prober.fout, width,
+        probe = gen_rm_mbfma_probe(fin, fout, width,
                                    j=opts.j, n_eab=eab_param,
                                    live_position=live_position)
-        return _verdict_field(prober.run(probe))
+        return _verdict_field(run(probe))
     except UnsupportedError as e:
         return Field.undetermined(str(e))
 

@@ -46,7 +46,6 @@ __all__ = [
     "gen_ordering_probe",
     "width_test_vectors",
     "carry_test_vector",
-    "carry_test_expected",
     "run_algorithm1",
     "Algorithm1Result",
 ]
@@ -77,19 +76,14 @@ class ProbeVector:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one probe: a feature name, a value, and raw evidence."""
+    """Outcome of one probe: a feature name and a value."""
 
     feature: str
     value: object
-    evidence: tuple[tuple[str, str], ...] = ()
 
     @property
     def determinate(self) -> bool:
         return self.value != UNDETERMINED
-
-
-def _fmt_value(v: Value) -> str:
-    return repr(v)
 
 
 @dataclass(frozen=True)
@@ -104,15 +98,12 @@ class Probe:
     def classify(self, observed: Sequence[Value]) -> Verdict:
         if len(observed) != len(self.vectors):
             raise ValueError("observation count does not match vector count")
-        evidence = tuple(
-            (vec.label, _fmt_value(d))
-            for vec, d in zip(self.vectors, observed))
         if any(isinstance(d, Special) for d in observed):
-            return Verdict(self.feature, UNDETERMINED, evidence)
+            return Verdict(self.feature, UNDETERMINED)
         for expected, value in self.rows:
             if all(e == d for e, d in zip(expected, observed)):
-                return Verdict(self.feature, value, evidence)
-        return Verdict(self.feature, UNDETERMINED, evidence)
+                return Verdict(self.feature, value)
+        return Verdict(self.feature, UNDETERMINED)
 
 
 def factor_into_operands(r: Dyadic, fin: FpFormat) -> tuple[Dyadic, Dyadic]:
@@ -564,10 +555,6 @@ def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
     return ProbeVector(f"carry[k={k}]", c, _padded(live, k))
 
 
-def carry_test_expected(vec: ProbeVector) -> Dyadic:
-    return width_test_expected(vec)
-
-
 @dataclass
 class Algorithm1Result:
     """Outcome of the iterative width / carry-bit search."""
@@ -618,7 +605,7 @@ def run_algorithm1(evaluate: Callable[[Dyadic, ProbeVector], Value],
                 mismatch_labels=tuple(mismatched),
                 carry_matches=tuple(carry_matches))
         cvec = carry_test_vector(k, fin, fout)
-        expected = carry_test_expected(cvec)
+        expected = width_test_expected(cvec)
         d = evaluate(expected, cvec)
         if not isinstance(d, Special) and d == expected:
             n_ecb = max_detectable_carry_bits(k, fin.precision)

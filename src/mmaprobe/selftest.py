@@ -42,7 +42,7 @@ from .simulator import (
     BlockFmaConfig,
     NormPolicy,
     Ordering,
-    consistent_carry_bits,
+    max_detectable_carry_bits,
 )
 
 __all__ = ["GridCase", "iter_grid", "expected_fields", "check_case",
@@ -76,7 +76,7 @@ def iter_grid(fins: Iterable[str] = INPUT_FORMATS,
     for fin in fins:
         p_in = lookup_format(fin).precision
         for width in WIDTHS:
-            n_ecb = consistent_carry_bits(width, p_in)
+            n_ecb = max_detectable_carry_bits(width, p_in)
             for n_eab in EABS:
                 for norm in (NormPolicy.DEFERRED, NormPolicy.IMMEDIATE):
                     for rm_intra in RMS:
@@ -248,7 +248,7 @@ def soundness_problems(case: GridCase, report: FeatureReport) -> list[str]:
 
     truth_rm = {"rm_bfma": _RM_NAME[cfg.rm_intra],
                 "rm_mbfma": _RM_NAME[cfg.rm_inter],
-                "rm_post_alignment": "Truncate"}
+                "rm_post_alignment": _RM_NAME[cfg.alignment_policy.rounding]}
 
     for name in ("subnormal_in", "subnormal_out"):
         f = fields[name]

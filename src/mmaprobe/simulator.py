@@ -51,7 +51,6 @@ __all__ = [
     "block_fma",
     "mma_dot",
     "max_detectable_carry_bits",
-    "consistent_carry_bits",
     "config_to_text",
     "config_from_text",
 ]
@@ -144,11 +143,6 @@ def max_detectable_carry_bits(k: int, p_in: int) -> int:
     # k * (2 - 2^(1-p_in)) = (k * (2^p_in - 1)) / 2^(p_in - 1); take floor log2
     num = k * ((1 << p_in) - 1)
     return num.bit_length() - 1 - (p_in - 1)
-
-
-def consistent_carry_bits(fma_width: int, p_in: int) -> int:
-    """Smallest headroom that makes a deferred config hardware-consistent."""
-    return max_detectable_carry_bits(fma_width, p_in)
 
 
 def exact_products(a: Sequence[Dyadic], b: Sequence[Dyadic],

@@ -44,23 +44,19 @@ class TestProbeCommand:
         script = tmp_path / "flaky.py"
         script.write_text(
             "import sys, pathlib\n"
-            "from mmaprobe.backend import MmaRequest, "
-            "_evaluate_with_config, Handshake, PROTO_VERSION, _sim_pairs\n"
+            "from mmaprobe.backend import MmaRequest, SimBackend\n"
             "from mmaprobe.simulator import BlockFmaConfig\n"
-            "from mmaprobe.formats import REGISTRY\n"
             f"marker = pathlib.Path({str(marker)!r})\n"
             "if marker.exists():\n"
             "    sys.exit(1)\n"
-            "cfg = BlockFmaConfig()\n"
-            "hs = Handshake(PROTO_VERSION, _sim_pairs(dict(REGISTRY)), 16)\n"
-            "print(hs.to_json(), flush=True)\n"
+            "sim = SimBackend(BlockFmaConfig())\n"
+            "print(sim.handshake.to_json(), flush=True)\n"
             "for n, line in enumerate(sys.stdin):\n"
             "    if n >= 2:\n"
             "        marker.touch()\n"
             "        sys.exit(1)\n"
             "    req = MmaRequest.from_json(line)\n"
-            "    print(_evaluate_with_config(req, cfg, dict(REGISTRY))"
-            ".to_json(), flush=True)\n")
+            "    print(sim.evaluate(req).to_json(), flush=True)\n")
         code, out, err = run(capsys, "probe",
                              "--backend", f"exec:{sys.executable} {script}",
                              "--timeout", "10",
@@ -73,6 +69,13 @@ class TestProbeCommand:
                            "--in", "binary16", "--out", "binary32",
                            "--seed-params", "1,4")
         assert code == 0 and "8" in out
+
+    def test_out_of_range_seed_params_usage_error(self, capsys):
+        code, out, err = run(capsys, "probe", "--backend", AMPERE,
+                             "--in", "binary16", "--out", "binary32",
+                             "--seed-params", "100,3")
+        assert code == 64
+        assert err.startswith("error: ") and out == ""
 
 
 class TestEvalCommand:
@@ -140,6 +143,26 @@ class TestGenVectors:
                            "--in", "binary16", "--out", "binary32")
         assert code == 64
         assert "--fma-width" in err
+
+    def test_out_of_range_j_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen-vectors", "--probe", "rm_bfma",
+                             "--in", "binary16", "--out", "binary32",
+                             "--j", "100")
+        assert code == 64
+        assert err.startswith("error: ") and out == ""
+
+    def test_rounded_vector_is_not_exported(self, capsys):
+        # The carry[k=9] addend needs 12 significand bits; binary16 has 11.
+        args = ("gen-vectors", "--in", "bfloat16", "--out", "binary16",
+                "--k", "9")
+        code, out, err = run(capsys, *args, "--probe", "algorithm1")
+        assert code == 64
+        assert "carry[k=9] not exact in binary16" in err and out == ""
+        code, out, _ = run(capsys, *args, "--probe", "all")
+        assert code == 0
+        skipped = {r["probe"]: r["skipped"]
+                   for r in json.loads(out)["records"] if "skipped" in r}
+        assert "carry[k=9] not exact in binary16" in skipped["algorithm1"]
 
     def test_unknown_probe(self, capsys):
         code, _, err = run(capsys, "gen-vectors", "--probe", "warp_speed",

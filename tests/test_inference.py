@@ -1,8 +1,10 @@
 """Inference pipeline, report model, and rendering tests."""
 
+import sys
+
 import pytest
 
-from mmaprobe.backend import SimBackend
+from mmaprobe.backend import ExecBackend, SimBackend
 from mmaprobe.formats import RoundingMode
 from mmaprobe.inference import (
     QUAL_AT_LEAST,
@@ -15,7 +17,13 @@ from mmaprobe.inference import (
     render_report,
 )
 from mmaprobe.presets import load_config
-from mmaprobe.simulator import BlockFmaConfig, NormPolicy, Ordering
+from mmaprobe.simulator import (
+    BlockFmaConfig,
+    CarryOverflow,
+    NormPolicy,
+    Ordering,
+    config_to_text,
+)
 
 RM = RoundingMode
 
@@ -113,15 +121,24 @@ class TestGates:
         assert not rep.complete
         assert any("aborted" in n for n in rep.notes)
 
+    def test_inexact_probe_vector_marks_partial(self):
+        # bfloat16->binary16 is offered, but the carry[k=9] addend needs
+        # more significand bits than binary16 has.
+        cfg = BlockFmaConfig(fma_width=16, n_eab=1, n_ecb=4)
+        rep = infer(cfg, fin="bfloat16", fout="binary16")
+        assert not rep.complete
+        assert any("carry[k=9] not exact in binary16" in n
+                   for n in rep.notes)
+
 
 class TestReportInvariants:
     @pytest.mark.parametrize("width,n_ecb", [(2, 1), (4, 2), (8, 3)])
     def test_carry_bound_respected(self, width, n_ecb):
-        from mmaprobe.simulator import consistent_carry_bits
+        from mmaprobe.simulator import max_detectable_carry_bits
         rep = infer(BlockFmaConfig(fma_width=width, n_eab=1, n_ecb=n_ecb))
         f = rep.field_map()
         if f["n_ecb"].determinate and f["fma_width"].determinate:
-            bound = consistent_carry_bits(f["fma_width"].value, 11)
+            bound = max_detectable_carry_bits(f["fma_width"].value, 11)
             assert f["n_ecb"].value <= bound
 
     def test_alignment_below_width(self):
@@ -145,6 +162,39 @@ class TestDeterminism:
         assert set(entry) == {"label", "request", "reply"}
         assert '"a":' in entry["request"]
         assert '"d":' in entry["reply"]
+
+
+class TestEvidence:
+    def test_aborted_report_keeps_the_failing_exchange(self, tmp_path):
+        # One carry too many for a zero-headroom unit that refuses to wrap.
+        cfg = BlockFmaConfig(fma_width=1, n_eab=0, n_ecb=0,
+                             rm_intra=RM.TRUNCATE, rm_inter=RM.TRUNCATE,
+                             carry_overflow=CarryOverflow.ERROR)
+        session = SimBackend(cfg)
+        rep = infer_features(session, "binary16", "binary32")
+        assert not rep.complete
+        assert rep.evidence == [
+            {"label": e.label, "request": e.request, "reply": e.reply}
+            for e in session.log]
+        assert rep.evidence[-1]["label"] == "width-head[k=2]"
+        assert '"code": "Internal"' in rep.evidence[-1]["reply"]
+        path = tmp_path / "overflow.cfg"
+        path.write_text(config_to_text(cfg))
+        child = ExecBackend(f"{sys.executable} -m mmaprobe.cli serve "
+                            f"--config {path}", timeout=30.0)
+        try:
+            wire = infer_features(child, "binary16", "binary32")
+        finally:
+            child.close()
+        assert wire.to_json() == rep.to_json()
+
+    def test_evidence_starts_at_the_report(self):
+        session = SimBackend(load_config("ampere"))
+        first = infer_features(session, "binary16", "binary32")
+        second = infer_features(session, "binary16", "binary32")
+        assert len(session.log) == len(first.evidence) + len(second.evidence)
+        assert [e["label"] for e in second.evidence] \
+            == [e["label"] for e in first.evidence]
 
 
 class TestRendering:

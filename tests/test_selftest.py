@@ -1,7 +1,7 @@
 """Verification-grid helper tests."""
 
 from mmaprobe.backend import SimBackend
-from mmaprobe.inference import infer_features
+from mmaprobe.inference import QUAL_EXACT, FeatureReport, Field, infer_features
 from mmaprobe.selftest import (
     GridCase,
     check_case,
@@ -9,13 +9,17 @@ from mmaprobe.selftest import (
     iter_grid,
     soundness_problems,
 )
-from mmaprobe.simulator import BlockFmaConfig, consistent_carry_bits
+from mmaprobe.simulator import (
+    AlignmentPolicy,
+    BlockFmaConfig,
+    max_detectable_carry_bits,
+)
 
 
 def test_grid_is_hardware_consistent():
     for case in iter_grid(fins=("binary16",), quick=True):
         p_in = 11
-        assert case.cfg.n_ecb == consistent_carry_bits(
+        assert case.cfg.n_ecb == max_detectable_carry_bits(
             case.cfg.fma_width, p_in)
 
 
@@ -52,3 +56,14 @@ def test_soundness_flags_fabricated_claims():
     assert soundness_problems(case, report) == []
     report.fma_width.value = 5  # fabricate a wrong determinate claim
     assert any("fma_width" in p for p in soundness_problems(case, report))
+
+
+def test_soundness_reads_alignment_rounding_from_config():
+    case = GridCase(BlockFmaConfig(alignment_policy=AlignmentPolicy.RNE),
+                    "binary16")
+    report = FeatureReport(fin="binary16", fout="binary32")
+    report.rm_post_alignment = Field("RNE", QUAL_EXACT)
+    assert soundness_problems(case, report) == []
+    report.rm_post_alignment = Field("Truncate", QUAL_EXACT)
+    [problem] = soundness_problems(case, report)
+    assert problem.startswith("rm_post_alignment=")

@@ -30,7 +30,6 @@ from mmaprobe.simulator import (
     block_fma,
     config_from_text,
     config_to_text,
-    consistent_carry_bits,
     exact_oracle,
     exact_products,
     max_detectable_carry_bits,
@@ -355,10 +354,6 @@ def test_detectable_carry_bits_values(k, p_in, expected):
 @given(st.integers(1, 400), st.integers(2, 30))
 def test_detectable_carry_bits_matches_oracle(k, p_in):
     assert max_detectable_carry_bits(k, p_in) == oracle_detectable_bits(k, p_in)
-
-
-def test_consistency_bound_alias():
-    assert consistent_carry_bits(8, 11) == 3
 
 
 # -- config serialization -------------------------------------------------
