@@ -315,12 +315,17 @@ class SimBackend(_SessionBase):
         return _evaluate_with_config(req, self.cfg, self.formats)
 
 
+# Longest line a child may write; a longer one is a transport failure, so
+# a child that never ends its line cannot grow the parent without bound.
+_MAX_LINE_BYTES = 1 << 20
+
+
 class _LinePipe:
     """Unbuffered line I/O with a select-based timeout over a child pipe."""
 
     def __init__(self, proc: subprocess.Popen) -> None:
         self.proc = proc
-        self._buf = b""
+        self._buf = bytearray()
 
     def write_line(self, line: str) -> None:
         try:
@@ -333,7 +338,11 @@ class _LinePipe:
         import time
         deadline = time.monotonic() + timeout
         fd = self.proc.stdout.fileno()
-        while b"\n" not in self._buf:
+        end = self._buf.find(b"\n")
+        while end < 0:
+            if len(self._buf) > _MAX_LINE_BYTES:
+                raise TransportError(
+                    f"child line longer than {_MAX_LINE_BYTES} bytes")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise BackendTimeout(f"no reply within {timeout:.1f}s")
@@ -343,9 +352,13 @@ class _LinePipe:
             chunk = os.read(fd, 65536)
             if not chunk:
                 raise TransportError("child closed stdout")
+            hit = chunk.find(b"\n")
+            if hit >= 0:
+                end = len(self._buf) + hit
             self._buf += chunk
-        line, _, self._buf = self._buf.partition(b"\n")
-        return line.decode()
+        line = self._buf[:end].decode()
+        del self._buf[:end + 1]
+        return line
 
 
 class ExecBackend(_SessionBase):

@@ -117,65 +117,54 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
     }
 
 
-_WIDTH_FREE_PROBES = ("subnormal", "algorithm1", "post_alignment",
-                      "rm_bfma", "alignment_bits", "alignment_cancel",
-                      "normalisation")
-_WIDTH_BOUND_PROBES = ("rm_mbfma", "ordering")
-ALL_PROBES = _WIDTH_FREE_PROBES + _WIDTH_BOUND_PROBES
+def _records(name: str, fin: FpFormat, fout: FpFormat,
+             *probes: Probe) -> list[dict]:
+    return [_probe_to_record(name, p, fin, fout) for p in probes]
 
 
-def _gen_records(name: str, fin: FpFormat, fout: FpFormat,
-                 args) -> list[dict]:
-    j, t = args.j, args.t
-    if name == "subnormal":
-        p_in, p_out = gen_subnormal_probes(fin, fout)
-        return [_probe_to_record("subnormal", p, fin, fout)
-                for p in (p_in, p_out)]
-    if name == "algorithm1":
-        return [_algorithm1_record(fin, fout, args.k)]
-    if name == "post_alignment":
-        return [_probe_to_record(
-            "post_alignment",
-            gen_post_alignment_rounding_probe(fin, fout, args.n_eab, j),
-            fin, fout)]
-    if name == "rm_bfma":
-        return [_probe_to_record("rm_bfma", gen_rm_bfma_probe(fin, fout, j),
-                                 fin, fout)]
-    if name == "alignment_bits":
-        return [_probe_to_record(
-            "alignment_bits", gen_alignment_bits_probe(fin, fout, args.n, j),
-            fin, fout)]
-    if name == "alignment_cancel":
-        return [_probe_to_record(
-            "alignment_cancel",
-            gen_alignment_cancel_probe(fin, fout, args.n, j), fin, fout)]
-    if name == "normalisation":
-        return [_probe_to_record(
-            "normalisation",
-            gen_normalisation_probe(fin, fout, args.norm_case, t), fin, fout)]
-    if name == "rm_mbfma":
-        if args.fma_width is None:
-            raise _Dependency(
-                "rm_mbfma places its live product one past the block "
-                "boundary: pass --fma-width (from a prior width probe)")
-        return [_probe_to_record(
-            "rm_mbfma",
-            gen_rm_mbfma_probe(fin, fout, args.fma_width, j=j,
-                               n_eab=args.n_eab or None),
-            fin, fout)]
-    if name == "ordering":
-        if args.fma_width is None:
-            raise _Dependency(
-                "ordering fills two whole blocks: pass --fma-width")
-        return [_probe_to_record(
-            "ordering", gen_ordering_probe(fin, fout, args.fma_width, j),
-            fin, fout)]
-    raise _Dependency(f"unknown probe {name!r} "
-                      f"(choose from {', '.join(ALL_PROBES)} or all)")
+def _fma_width(args, why: str) -> int:
+    if args.fma_width is None:
+        raise _Dependency(why)
+    return args.fma_width
 
 
 class _Dependency(Exception):
     pass
+
+
+# gen-vectors probes in dependency order: name -> records builder.  Probe
+# parameters come from the command-line flags, not from earlier verdicts.
+_GEN_VECTORS = {
+    "subnormal": lambda fin, fout, args: _records(
+        "subnormal", fin, fout, *gen_subnormal_probes(fin, fout)),
+    "algorithm1": lambda fin, fout, args: [
+        _algorithm1_record(fin, fout, args.k)],
+    "post_alignment": lambda fin, fout, args: _records(
+        "post_alignment", fin, fout,
+        gen_post_alignment_rounding_probe(fin, fout, args.n_eab, args.j)),
+    "rm_bfma": lambda fin, fout, args: _records(
+        "rm_bfma", fin, fout, gen_rm_bfma_probe(fin, fout, args.j)),
+    "alignment_bits": lambda fin, fout, args: _records(
+        "alignment_bits", fin, fout,
+        gen_alignment_bits_probe(fin, fout, args.n, args.j)),
+    "alignment_cancel": lambda fin, fout, args: _records(
+        "alignment_cancel", fin, fout,
+        gen_alignment_cancel_probe(fin, fout, args.n, args.j)),
+    "normalisation": lambda fin, fout, args: _records(
+        "normalisation", fin, fout,
+        gen_normalisation_probe(fin, fout, args.norm_case, args.t)),
+    "rm_mbfma": lambda fin, fout, args: _records(
+        "rm_mbfma", fin, fout, gen_rm_mbfma_probe(
+            fin, fout, _fma_width(
+                args, "rm_mbfma places its live product one past the block "
+                      "boundary: pass --fma-width (from a prior width probe)"),
+            j=args.j, n_eab=args.n_eab or None)),
+    "ordering": lambda fin, fout, args: _records(
+        "ordering", fin, fout, gen_ordering_probe(
+            fin, fout, _fma_width(
+                args, "ordering fills two whole blocks: pass --fma-width"),
+            args.j)),
+}
 
 
 def cmd_probe(args) -> int:
@@ -245,11 +234,19 @@ def cmd_eval(args) -> int:
 def cmd_gen_vectors(args) -> int:
     fin = _format_or_die(args.infmt)
     fout = _format_or_die(args.outfmt)
-    names = list(ALL_PROBES) if args.probe == "all" else [args.probe]
+    if args.probe == "all":
+        names = list(_GEN_VECTORS)
+    elif args.probe in _GEN_VECTORS:
+        names = [args.probe]
+    else:
+        print(f"error: unknown probe {args.probe!r} "
+              f"(choose from {', '.join(_GEN_VECTORS)} or all)",
+              file=sys.stderr)
+        return EX_USAGE
     records = []
     for name in names:
         try:
-            records.extend(_gen_records(name, fin, fout, args))
+            records.extend(_GEN_VECTORS[name](fin, fout, args))
         except (_Dependency, FormatContract, NotFactorable) as e:
             if args.probe == "all":
                 records.append({"probe": name, "skipped": str(e)})
@@ -331,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="export probe vectors with classifier tables")
     add_formats(p)
     p.add_argument("--probe", default="all",
-                   help=f"one of {', '.join(ALL_PROBES)} or all")
+                   help=f"one of {', '.join(_GEN_VECTORS)} or all")
     p.add_argument("--fma-width", type=int, default=None)
     p.add_argument("--n-eab", type=int, default=0)
     p.add_argument("--n", type=int, default=1,

@@ -1,18 +1,8 @@
 """Feature inference driver: run probes in dependency order, build a report.
 
 Probes have preconditions on other features and on where the accumulator
-input travels, so the driver resolves them in stages:
-
-1. subnormal support (no dependencies),
-2. block width and carry headroom (iterative boundary search),
-3. combine ordering (needs the width),
-4. extra alignment bits (needs width; needs the addend to reach a block,
-   or the rounding-free cancellation test when it does not),
-5. normalisation timing (needs alignment/carry presence),
-6. per-block final rounding (width >= 3, two carry bits),
-7. post-alignment reduction mode (alignment width <= 1),
-8. inter-block rounding (width and ordering known).
-
+input travels.  ``_STAGES`` lists the report fields in the order they are
+resolved, each with the stage that resolves it from the fields before it.
 A stage whose preconditions are unmet records an undetermined value with
 the reason; a verdict is never guessed.  The report's evidence is the
 session log of the exchanges it sent, in order, including the one that
@@ -24,10 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
-from .formats import FpFormat, lookup_format
+from .formats import FpFormat, Value, lookup_format
 from .probes import (
+    Algorithm1Result,
     Probe,
     ProbeVector,
     Verdict,
@@ -103,9 +94,12 @@ class Field:
         return Field(None, QUAL_UNDETERMINED, reason)
 
 
-_FEATURE_FIELDS = (
-    "subnormal_in", "subnormal_out", "n_eab", "n_ecb", "immediate_norm",
-    "fma_width", "rm_bfma", "rm_mbfma", "rm_post_alignment", "ordering",
+# The report's features in table order, with their table column headers.
+_FEATURES = (
+    ("subnormal_in", "Subnormal In"), ("subnormal_out", "Subnormal Out"),
+    ("n_eab", "n_eab"), ("n_ecb", "n_ecb"), ("immediate_norm", "I.Norm"),
+    ("fma_width", "N_FMA"), ("rm_bfma", "RM-BFMA"), ("rm_mbfma", "RM-MBFMA"),
+    ("rm_post_alignment", "RM-Align"), ("ordering", "Ordering"),
 )
 
 
@@ -130,7 +124,7 @@ class FeatureReport:
     evidence: list = dc_field(default_factory=list)
 
     def field_map(self) -> dict:
-        return {name: getattr(self, name) for name in _FEATURE_FIELDS}
+        return {name: getattr(self, name) for name, _ in _FEATURES}
 
     def to_json(self, with_evidence: bool = True) -> str:
         obj = {
@@ -168,27 +162,58 @@ class InferOptions:
 
 _C_ANCHORED = ("CFirst", "CWithLast")
 
-# Runs one probe for the report's format pair and classifies the outputs.
-_Run = Callable[[Probe], Verdict]
 
+@dataclass
+class _State:
+    """What the stages of one report share: its target and earlier scans."""
 
-def _verdict_field(verdict: Verdict, reason_if_undet: str = "") -> Field:
-    if verdict.determinate:
-        return Field(verdict.value, QUAL_EXACT)
-    return Field.undetermined(
-        reason_if_undet or "observation matched no classifier row")
+    session: object
+    fin: FpFormat
+    fout: FpFormat
+    opts: InferOptions
+    report: FeatureReport
+    scan: Optional[Algorithm1Result] = None  # set by the width stage
+    deferred_proven: bool = False
+
+    @property
+    def width(self) -> Optional[int]:
+        """The exact block width, or None."""
+        f = self.report.fma_width
+        return f.value if f.exact else None
+
+    @property
+    def ordering(self) -> Optional[str]:
+        f = self.report.ordering
+        return f.value if f.determinate else None
+
+    def send(self, vec: ProbeVector) -> Value:
+        return self.session.run_vector(self.fin, self.fout, vec)
+
+    def verdict(self, probe: Probe) -> Verdict:
+        return probe.classify([self.send(vec) for vec in probe.vectors])
+
+    def field(self, probe: Probe) -> Field:
+        verdict = self.verdict(probe)
+        if verdict.determinate:
+            return Field(verdict.value, QUAL_EXACT)
+        return Field.undetermined("observation matched no classifier row")
 
 
 def infer_features(session, fin_name: str, fout_name: str,
                    options: Optional[InferOptions] = None) -> FeatureReport:
-    """Run the full probe pipeline against a backend session."""
-    opts = options or InferOptions()
+    """Run the ``_STAGES`` table in order against a backend session."""
     fin = lookup_format(fin_name)
     fout = lookup_format(fout_name)
     report = FeatureReport(fin=fin.name, fout=fout.name)
+    state = _State(session, fin, fout, options or InferOptions(), report)
     start = len(session.log)
     try:
-        _pipeline(session, fin, fout, report, opts)
+        for name, stage in _STAGES:
+            setattr(report, name, stage(state))
+        undet = sum(1 for f in report.field_map().values()
+                    if not f.determinate)
+        if undet:
+            report.notes.append(f"{undet} feature(s) undetermined")
     except (BackendError, FormatContract) as e:
         report.complete = False
         report.notes.append(f"aborted: {e}")
@@ -199,166 +224,89 @@ def infer_features(session, fin_name: str, fout_name: str,
     return report
 
 
-def _pipeline(session, fin: FpFormat, fout: FpFormat, report: FeatureReport,
-              opts: InferOptions) -> None:
-    def run(probe: Probe) -> Verdict:
-        return probe.classify([session.run_vector(fin, fout, vec)
-                               for vec in probe.vectors])
-
-    # 1. subnormal support
-    probe_in, probe_out = gen_subnormal_probes(fin, fout)
-    report.subnormal_in = _verdict_field(run(probe_in))
-    report.subnormal_out = _verdict_field(run(probe_out))
-
-    # 2. block width and raw carry headroom
-    k_cap = min(opts.k_max, session.handshake.kmax)
-
-    def evaluate(_expected, vec: ProbeVector):
-        return session.run_vector(fin, fout, vec)
-
-    scan = run_algorithm1(evaluate, fin, fout, k_cap, extended=True)
-    deferred_proven = False
-    if scan.conclusive:
-        c_anchored_break = any(("head" in l) or ("tail" in l)
-                               for l in scan.mismatch_labels)
-        if c_anchored_break:
-            report.fma_width = Field(scan.n_fma, QUAL_EXACT)
-        else:
-            # Straddle-only split: the addend never met a block, so the
-            # boundary position aliases small widths unless the tile
-            # geometry (two blocks per inner product) pins it.
-            if session.handshake.kmax == 2 * scan.n_fma:
-                report.fma_width = Field(
-                    scan.n_fma, QUAL_EXACT,
-                    "straddle split corroborated by tile k0 = 2*width")
-            else:
-                report.fma_width = Field.undetermined(
-                    f"straddle split at k={scan.k_stop} is width-ambiguous "
-                    "without tile geometry")
-            deferred_proven = scan.k_stop > 4
-            if deferred_proven:
-                report.notes.append(
-                    "four-term prefixes accumulated losslessly before the "
-                    "split: per-addition rounding excluded")
-    else:
-        report.fma_width = Field.undetermined(
+def _block_width(s: _State) -> Field:
+    # The same scan records the raw carry headroom for the n_ecb stage.
+    s.scan = scan = run_algorithm1(
+        lambda _expected, vec: s.send(vec), s.fin, s.fout,
+        min(s.opts.k_max, s.session.handshake.kmax), extended=True)
+    if not scan.conclusive:
+        return Field.undetermined(
             f"no block split observed up to k={scan.k_stop}; a width bound "
             "would require knowing where the addend joins")
+    if any(("head" in l) or ("tail" in l) for l in scan.mismatch_labels):
+        return Field(scan.n_fma, QUAL_EXACT)
+    # Straddle-only split: the addend never met a block, so the boundary
+    # position aliases small widths unless the tile geometry (two blocks
+    # per inner product) pins it.
+    s.deferred_proven = scan.k_stop > 4
+    if s.deferred_proven:
+        s.report.notes.append(
+            "four-term prefixes accumulated losslessly before the "
+            "split: per-addition rounding excluded")
+    if s.session.handshake.kmax == 2 * scan.n_fma:
+        return Field(scan.n_fma, QUAL_EXACT,
+                     "straddle split corroborated by tile k0 = 2*width")
+    return Field.undetermined(f"straddle split at k={scan.k_stop} is "
+                              "width-ambiguous without tile geometry")
 
-    # 3. combine ordering (needs the width)
-    if report.fma_width.exact:
-        width = report.fma_width.value
-        if width == 1:
-            # A width-1 report also covers wider units that normalise per
-            # addition; their single-block folds mimic a first-anchored
-            # combine at k=2, so no ordering verdict is sound here.
-            report.ordering = Field.undetermined(
-                "width 1: cannot exclude a wider per-addition-rounding "
-                "unit, whose one-block folds mimic first-anchored combining")
-        elif 2 * width <= session.handshake.kmax:
-            try:
-                report.ordering = _verdict_field(
-                    run(gen_ordering_probe(fin, fout, width, opts.j)))
-            except UnsupportedError as e:
-                report.ordering = Field.undetermined(str(e))
-        else:
-            report.ordering = Field.undetermined(
-                "backend cannot take k = 2*width")
-    else:
-        report.ordering = Field.undetermined("width unknown")
 
-    ordering = report.ordering.value if report.ordering.determinate else None
-    c_anchored = ordering in _C_ANCHORED
+def _ordering(s: _State) -> Field:
+    if s.width is None:
+        return Field.undetermined("width unknown")
+    if s.width == 1:
+        # A width-1 report also covers wider units that normalise per
+        # addition; their single-block folds mimic a first-anchored
+        # combine at k=2, so no ordering verdict is sound here.
+        return Field.undetermined(
+            "width 1: cannot exclude a wider per-addition-rounding "
+            "unit, whose one-block folds mimic first-anchored combining")
+    if 2 * s.width > s.session.handshake.kmax:
+        return Field.undetermined("backend cannot take k = 2*width")
+    try:
+        return s.field(gen_ordering_probe(s.fin, s.fout, s.width, s.opts.j))
+    except UnsupportedError as e:
+        return Field.undetermined(str(e))
 
-    # 4. carry headroom: valid only when the addend rode inside a block,
-    # otherwise the carries happened in the always-normalising combiner.
-    if report.fma_width.exact and report.fma_width.value == 1:
+
+def _carry_headroom(s: _State) -> Field:
+    # Valid only when the addend rode inside a block, otherwise the
+    # carries happened in the always-normalising combiner.
+    if s.width == 1:
         # Rounding after every addition by construction: no carry ever
         # propagates across additions, whatever the register width is.
-        report.n_ecb = Field(0, QUAL_EXACT,
-                             "no carry propagation across successive "
-                             "additions observed")
-    elif c_anchored:
-        if scan.n_ecb == 0:
-            report.n_ecb = Field(0, QUAL_EXACT)
-        else:
-            report.n_ecb = Field(
-                scan.n_ecb, QUAL_AT_LEAST,
-                "wider tests would need a larger block width")
-    else:
-        report.n_ecb = Field.undetermined(
+        return Field(0, QUAL_EXACT, "no carry propagation across "
+                     "successive additions observed")
+    if s.ordering not in _C_ANCHORED:
+        return Field.undetermined(
             "carry test needs the addend inside a block; ordering is "
-            f"{ordering or 'unknown'}")
-
-    # 5. extra alignment bits
-    report.n_eab = _alignment_sweep(run, fin, fout, report, opts, ordering,
-                                    deferred_proven)
-
-    # 6. normalisation timing
-    report.immediate_norm = _normalisation_stage(run, fin, fout, report, opts,
-                                                 ordering, deferred_proven)
-
-    # 7. per-block final rounding
-    width_f = report.fma_width
-    if not (width_f.exact and c_anchored):
-        report.rm_bfma = Field.undetermined(
-            "needs a known width and the addend inside the first block")
-    elif width_f.value < 3:
-        report.rm_bfma = Field.undetermined(
-            "needs at least three products in one block")
-    elif not (report.n_ecb.determinate and (report.n_ecb.value or 0) >= 2):
-        report.rm_bfma = Field.undetermined(
-            "needs two carry headroom bits")
-    else:
-        if report.n_eab.determinate and (report.n_eab.value or 0) >= 1:
-            # The carry-based vectors keep every bit above the alignment
-            # boundary, so extra alignment bits cannot disturb them; note
-            # the assumption rather than skipping.
-            report.notes.append(
-                "per-block rounding vectors assume no reliance on "
-                "alignment bits; they hold for the detected width")
-        report.rm_bfma = _verdict_field(
-            run(gen_rm_bfma_probe(fin, fout, opts.j)))
-
-    # 8. post-alignment reduction mode
-    report.rm_post_alignment = _post_alignment_stage(run, fin, fout, report,
-                                                     opts, c_anchored)
-
-    # 9. inter-block rounding
-    report.rm_mbfma = _rm_mbfma_stage(run, fin, fout, report, opts, ordering)
-
-    undet = sum(1 for f in report.field_map().values() if not f.determinate)
-    if undet:
-        report.notes.append(f"{undet} feature(s) undetermined")
+            f"{s.ordering or 'unknown'}")
+    if s.scan.n_ecb == 0:
+        return Field(0, QUAL_EXACT)
+    return Field(s.scan.n_ecb, QUAL_AT_LEAST,
+                 "wider tests would need a larger block width")
 
 
-def _alignment_sweep(run: _Run, fin: FpFormat, fout: FpFormat,
-                     report: FeatureReport, opts: InferOptions,
-                     ordering: Optional[str], deferred_proven: bool) -> Field:
-    width_f = report.fma_width
-    if not width_f.exact:
+def _alignment_bits(s: _State) -> Field:
+    width = s.width
+    if width is None:
         return Field.undetermined("width unknown")
-    width = width_f.value
     if width < 2:
         return Field(0, QUAL_AT_LEAST,
                      "alignment tests need at least two products per block")
-    tree = ordering == "TreeThenC"
-    if ordering is None:
+    if s.ordering is None:
         return Field.undetermined("ordering unknown")
-    if tree and not deferred_proven:
+    tree = s.ordering == "TreeThenC"
+    if tree and not s.deferred_proven:
         return Field.undetermined(
             "addend outside blocks and per-addition rounding not excluded")
-
-    cancel_ok = width >= 3
-    n = 1
-    while n <= width - 1:
+    for n in range(1, width):
         verdicts = []
         if not tree:
-            verdicts.append(run(
-                gen_alignment_bits_probe(fin, fout, n, opts.j)))
-        if cancel_ok:
-            verdicts.append(run(
-                gen_alignment_cancel_probe(fin, fout, n, opts.j)))
+            verdicts.append(s.verdict(
+                gen_alignment_bits_probe(s.fin, s.fout, n, s.opts.j)))
+        if width >= 3:
+            verdicts.append(s.verdict(
+                gen_alignment_cancel_probe(s.fin, s.fout, n, s.opts.j)))
         # The cancellation outcome is exact and rounding-free; prefer it.
         chosen = next((v for v in reversed(verdicts) if v.determinate), None)
         if chosen is None:
@@ -367,35 +315,29 @@ def _alignment_sweep(run: _Run, fin: FpFormat, fout: FpFormat,
         kind, depth = chosen.value
         if kind == "fewer_than":
             return Field(depth - 1, QUAL_EXACT)
-        n += 1
     return Field(width - 1, QUAL_AT_LEAST,
                  "ladder capped at one product below the block width")
 
 
-def _normalisation_stage(run: _Run, fin: FpFormat, fout: FpFormat,
-                         report: FeatureReport, opts: InferOptions,
-                         ordering: Optional[str],
-                         deferred_proven: bool) -> Field:
-    width_f = report.fma_width
-    if not width_f.exact:
+def _normalisation(s: _State) -> Field:
+    width = s.width
+    if width is None:
         return Field.undetermined("width unknown")
-    width = width_f.value
-    if width == 1 and report.n_ecb.determinate and report.n_ecb.value == 0:
+    eab = s.report.n_eab
+    ecb = s.report.n_ecb
+    if width == 1 and ecb.determinate and ecb.value == 0:
         return Field(True, QUAL_EXACT,
                      "no carry headroom detected: every addition is "
                      "normalised before the next")
-    if ordering == "TreeThenC":
-        if deferred_proven:
+    if s.ordering == "TreeThenC":
+        if s.deferred_proven:
             return Field(False, QUAL_EXACT,
                          "lossless multi-term prefixes in the width scan "
                          "exclude per-addition rounding")
         return Field.undetermined(
             "timing test needs the addend inside a block")
-    if ordering not in _C_ANCHORED:
+    if s.ordering not in _C_ANCHORED:
         return Field.undetermined("ordering unknown")
-
-    eab = report.n_eab
-    ecb = report.n_ecb
     if not ecb.determinate:
         return Field.undetermined("carry presence unknown")
     if ecb.value == 0:
@@ -403,28 +345,46 @@ def _normalisation_stage(run: _Run, fin: FpFormat, fout: FpFormat,
                      "no carry headroom: immediate normalisation implied")
     if eab.determinate and (eab.value or 0) >= 1:
         if width >= 2:
-            return _verdict_field(run(gen_normalisation_probe(
-                fin, fout, "carry_and_align", opts.t)))
+            return s.field(gen_normalisation_probe(
+                s.fin, s.fout, "carry_and_align", s.opts.t))
         return Field.undetermined("needs two products in one block")
     if eab.determinate and eab.value == 0:
         if width >= 3:
-            return _verdict_field(run(gen_normalisation_probe(
-                fin, fout, "carry_only")))
+            return s.field(gen_normalisation_probe(
+                s.fin, s.fout, "carry_only"))
         return Field.undetermined(
             "carry-only timing test needs three products per block")
     return Field.undetermined("alignment presence unknown")
 
 
-def _post_alignment_stage(run: _Run, fin: FpFormat, fout: FpFormat,
-                          report: FeatureReport, opts: InferOptions,
-                          c_anchored: bool) -> Field:
-    width_f = report.fma_width
-    if not (width_f.exact and c_anchored):
+def _rm_bfma(s: _State) -> Field:
+    if s.width is None or s.ordering not in _C_ANCHORED:
+        return Field.undetermined(
+            "needs a known width and the addend inside the first block")
+    if s.width < 3:
+        return Field.undetermined(
+            "needs at least three products in one block")
+    ecb = s.report.n_ecb
+    if not (ecb.determinate and (ecb.value or 0) >= 2):
+        return Field.undetermined("needs two carry headroom bits")
+    eab = s.report.n_eab
+    if eab.determinate and (eab.value or 0) >= 1:
+        # The carry-based vectors keep every bit above the alignment
+        # boundary, so extra alignment bits cannot disturb them; note the
+        # assumption rather than skipping.
+        s.report.notes.append(
+            "per-block rounding vectors assume no reliance on "
+            "alignment bits; they hold for the detected width")
+    return s.field(gen_rm_bfma_probe(s.fin, s.fout, s.opts.j))
+
+
+def _rm_post_alignment(s: _State) -> Field:
+    if s.width is None or s.ordering not in _C_ANCHORED:
         return Field.undetermined(
             "needs a known width and the addend inside the block")
-    if width_f.value < 2:
+    if s.width < 2:
         return Field.undetermined("needs two products in one block")
-    eab = report.n_eab
+    eab = s.report.n_eab
     if not eab.exact:
         # With only a lower bound, deeper-surviving bits reach the final
         # rounding and would impersonate an alignment rounding mode.
@@ -432,55 +392,53 @@ def _post_alignment_stage(run: _Run, fin: FpFormat, fout: FpFormat,
     if eab.value >= 2:
         return Field.undetermined(
             "straddle values for more than one extra bit need finer tests")
-    return _verdict_field(run(gen_post_alignment_rounding_probe(
-        fin, fout, int(eab.value), opts.j)))
+    return s.field(gen_post_alignment_rounding_probe(
+        s.fin, s.fout, int(eab.value), s.opts.j))
 
 
-def _rm_mbfma_stage(run: _Run, fin: FpFormat, fout: FpFormat,
-                    report: FeatureReport, opts: InferOptions,
-                    ordering: Optional[str]) -> Field:
-    width_f = report.fma_width
-    if not width_f.exact or ordering is None:
+def _rm_mbfma(s: _State) -> Field:
+    width = s.width
+    if width is None or s.ordering is None:
         return Field.undetermined("needs a known width and ordering")
-    width = width_f.value
-    if width == 1 and ordering in _C_ANCHORED:
+    if width == 1 and s.ordering in _C_ANCHORED:
         # A width-1 report covers both genuine one-product blocks and
         # immediately normalising wider units; on the latter a k=2 probe
         # would read the per-addition mode, so no verdict is sound.
         return Field.undetermined(
             "width 1: block-combination rounding not separable from "
             "per-addition rounding")
-    live_position = 1 if ordering == "CWithLast" else width + 1
-    eab = report.n_eab
-    eab_param = None
-    if eab.determinate and (eab.value or 0) >= 1:
-        eab_param = 1  # the half-ulp survives the combine alignment
+    eab = s.report.n_eab
     try:
-        probe = gen_rm_mbfma_probe(fin, fout, width,
-                                   j=opts.j, n_eab=eab_param,
-                                   live_position=live_position)
-        return _verdict_field(run(probe))
+        return s.field(gen_rm_mbfma_probe(
+            s.fin, s.fout, width, j=s.opts.j,
+            # the half-ulp survives the combine alignment
+            n_eab=1 if eab.determinate and (eab.value or 0) >= 1 else None,
+            live_position=1 if s.ordering == "CWithLast" else width + 1))
     except UnsupportedError as e:
         return Field.undetermined(str(e))
 
 
-# -- rendering ----------------------------------------------------------
-
-_TABLE_COLUMNS = (
-    ("Input", lambda r: r.fin),
-    ("Output", lambda r: r.fout),
-    ("Subnormal In", lambda r: r.subnormal_in.render()),
-    ("Subnormal Out", lambda r: r.subnormal_out.render()),
-    ("n_eab", lambda r: r.n_eab.render()),
-    ("n_ecb", lambda r: r.n_ecb.render()),
-    ("I.Norm", lambda r: r.immediate_norm.render()),
-    ("N_FMA", lambda r: r.fma_width.render()),
-    ("RM-BFMA", lambda r: r.rm_bfma.render()),
-    ("RM-MBFMA", lambda r: r.rm_mbfma.render()),
-    ("RM-Align", lambda r: r.rm_post_alignment.render()),
-    ("Ordering", lambda r: r.ordering.render()),
+# The inference pipeline: (report field, stage) in run order.  A stage
+# reads the fields set before it, and returns undetermined with a reason
+# when their values do not meet its probe's preconditions.  Stages call
+# the probe generators through this module's globals at run time.
+_STAGES = (
+    ("subnormal_in",
+     lambda s: s.field(gen_subnormal_probes(s.fin, s.fout)[0])),
+    ("subnormal_out",
+     lambda s: s.field(gen_subnormal_probes(s.fin, s.fout)[1])),
+    ("fma_width", _block_width),
+    ("ordering", _ordering),
+    ("n_ecb", _carry_headroom),
+    ("n_eab", _alignment_bits),
+    ("immediate_norm", _normalisation),
+    ("rm_bfma", _rm_bfma),
+    ("rm_post_alignment", _rm_post_alignment),
+    ("rm_mbfma", _rm_mbfma),
 )
 
+
+# -- rendering ----------------------------------------------------------
 
 def render_report(reports, style: str = "table") -> str:
     """Render one report or a list of reports; deterministic output."""
@@ -492,8 +450,9 @@ def render_report(reports, style: str = "table") -> str:
                           sort_keys=True, indent=2)
     if style != "table":
         raise ValueError(f"unknown style {style!r}")
-    headers = [name for name, _ in _TABLE_COLUMNS]
-    rows = [[fn(r) for _, fn in _TABLE_COLUMNS] for r in reports]
+    headers = ["Input", "Output"] + [header for _, header in _FEATURES]
+    rows = [[r.fin, r.fout] + [f.render() for f in r.field_map().values()]
+            for r in reports]
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     lines = [

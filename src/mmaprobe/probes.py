@@ -156,16 +156,22 @@ def gen_subnormal_probes(fin: FpFormat, fout: FpFormat) -> tuple[Probe, Probe]:
     """Input-side and output-side subnormal support tests.
 
     Input side: the smallest positive subnormal of ``fin`` times one must
-    come back unchanged.  Output side: an exact result below the smallest
-    normal of ``fout``, produced by a product when the input exponent range
-    reaches that low, else injected through the accumulator input.
+    come back unchanged; where that lies below ``fout``'s subnormal range,
+    the other operand is the power of two that lifts the product to the
+    smallest normal of ``fout``.  Output side: an exact result below the
+    smallest normal of ``fout``, produced by a product when the input
+    exponent range reaches that low, else injected through the accumulator
+    input.
     """
     tiny = fin.min_subnormal
-    vec_in = ProbeVector("subnormal-in", ZERO, ((tiny, ONE),))
+    scale = ONE
+    if tiny < fout.min_subnormal:
+        scale = pow2(fout.emin - tiny.floor_log2)
+    vec_in = ProbeVector("subnormal-in", ZERO, ((tiny, scale),))
     probe_in = Probe(
         feature="subnormal_in",
         vectors=(vec_in,),
-        rows=(((tiny,), True), ((ZERO,), False)),
+        rows=(((tiny * scale,), True), ((ZERO,), False)),
     )
 
     target = pow2(fout.emin - 4)  # subnormal in fout for precision >= 5

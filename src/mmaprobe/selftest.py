@@ -203,10 +203,13 @@ def check_case(case: GridCase,
     if report is None:
         session = SimBackend(case.cfg)
         report = infer_features(session, case.fin, case.fout)
+    problems = [] if report.complete else ["report incomplete"]
+    return problems + _field_problems(report, expected_fields(case))
+
+
+def _field_problems(report: FeatureReport, expected: dict) -> list[str]:
+    """Report fields that differ from ``expected`` rows, one line each."""
     problems = []
-    if not report.complete:
-        problems.append("report incomplete")
-    expected = expected_fields(case)
     for name, exp in expected.items():
         f = report.field_map()[name]
         if exp == _UNDET:
@@ -214,16 +217,13 @@ def check_case(case: GridCase,
                 problems.append(
                     f"{name}: expected undetermined, got "
                     f"{f.qualifier}{f.value!r}")
-        elif exp[0] == "exact":
-            if not (f.qualifier == QUAL_EXACT and f.value == exp[1]):
-                problems.append(
-                    f"{name}: expected ={exp[1]!r}, got "
-                    f"{f.qualifier}{f.value!r} ({f.reason})")
-        elif exp[0] == "at_least":
-            if not (f.qualifier == QUAL_AT_LEAST and f.value == exp[1]):
-                problems.append(
-                    f"{name}: expected >={exp[1]!r}, got "
-                    f"{f.qualifier}{f.value!r} ({f.reason})")
+            continue
+        kind, value = exp
+        qual = QUAL_EXACT if kind == "exact" else QUAL_AT_LEAST
+        if not (f.qualifier == qual and f.value == value):
+            problems.append(
+                f"{name}: expected {qual}{value!r}, got "
+                f"{f.qualifier}{f.value!r} ({f.reason})")
     return problems
 
 
@@ -333,16 +333,8 @@ def check_golden_preset(preset: str, fin: str, fout: str) -> list[str]:
     cfg = load_config(preset)
     session = SimBackend(cfg)
     report = infer_features(session, fin, fout)
-    expected = GOLDEN_PRESETS[(preset, fin, fout)]
-    problems = []
-    for name, exp in expected.items():
-        f = report.field_map()[name]
-        kind, value = exp
-        qual = QUAL_EXACT if kind == "exact" else QUAL_AT_LEAST
-        if not (f.qualifier == qual and f.value == value):
-            problems.append(f"{preset}/{fin}->{fout} {name}: expected "
-                            f"{qual}{value!r}, got {f.qualifier}{f.value!r}")
-    return problems
+    return [f"{preset}/{fin}->{fout} {p}" for p in
+            _field_problems(report, GOLDEN_PRESETS[(preset, fin, fout)])]
 
 
 def run_selftest(quick: bool = False, out=None) -> bool:

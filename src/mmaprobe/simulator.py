@@ -334,6 +334,14 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
     def run_block(cin: Value, chunk) -> Value:
         return block_fma(cin, chunk[0], chunk[1], cfg, fout)
 
+    def combine(x: Value, y: Value) -> Value:
+        special = _resolve_specials(x, (y,))
+        if special is not None:
+            return special
+        if x.is_zero and y.is_zero:
+            return _signed_zero_sum((x, y))
+        return _fp_add_limited(x, y, cfg, p_out, cfg.rm_inter)
+
     if cfg.ordering is Ordering.C_FIRST:
         acc = run_block(c, chunks[0])
         rest = chunks[1:]
@@ -345,23 +353,9 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
         rest = chunks[1:]
 
     for chunk in rest:
-        t = run_block(ZERO, chunk)
-        if isinstance(acc, Special) or isinstance(t, Special):
-            special = _resolve_specials(acc, (t,))
-            acc = special if special is not None else acc
-            continue
-        if acc.is_zero and t.is_zero:
-            acc = _signed_zero_sum((acc, t))
-            continue
-        acc = _fp_add_limited(acc, t, cfg, p_out, cfg.rm_inter)
-
+        acc = combine(acc, run_block(ZERO, chunk))
     if cfg.ordering is Ordering.TREE_THEN_C:
-        if isinstance(acc, Special) or isinstance(c, Special):
-            special = _resolve_specials(c, (acc,))
-            return special if special is not None else acc
-        if acc.is_zero and c.is_zero:
-            return _signed_zero_sum((c, acc))
-        acc = _fp_add_limited(c, acc, cfg, p_out, cfg.rm_inter)
+        acc = combine(c, acc)
     return acc
 
 

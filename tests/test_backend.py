@@ -4,10 +4,12 @@ import io
 import json
 import random
 import sys
+import time
 
 import pytest
 
 from mmaprobe.backend import (
+    _MAX_LINE_BYTES,
     ExecBackend,
     Handshake,
     MmaReply,
@@ -32,6 +34,8 @@ from mmaprobe.formats import (
     hex_to_bits,
     pow2,
 )
+from mmaprobe.inference import infer_features
+from mmaprobe.presets import load_config
 from mmaprobe.probes import ProbeVector, gen_ordering_probe
 from mmaprobe.simulator import BlockFmaConfig, mma_dot
 
@@ -213,6 +217,63 @@ class TestExecLoopback:
         cmd = f"{sys.executable} -c \"print('not a handshake')\""
         with pytest.raises(TransportError):
             ExecBackend(cmd, timeout=5.0)
+
+    def test_stale_reply_after_timeout_is_discarded(self, tmp_path):
+        # The child holds back its reply to request 1 until request 2
+        # arrives, long after the client gave up on it.
+        script = tmp_path / "late.py"
+        script.write_text(
+            "import sys\n"
+            "from mmaprobe.backend import MmaRequest, SimBackend\n"
+            "from mmaprobe.presets import load_config\n"
+            "sim = SimBackend(load_config('ampere'))\n"
+            "print(sim.handshake.to_json(), flush=True)\n"
+            "late = None\n"
+            "for line in sys.stdin:\n"
+            "    req = MmaRequest.from_json(line)\n"
+            "    if req.id == 1:\n"
+            "        late = sim.evaluate(req)\n"
+            "        continue\n"
+            "    if late is not None:\n"
+            "        print(late.to_json(), flush=True)\n"
+            "        late = None\n"
+            "    print(sim.evaluate(req).to_json(), flush=True)\n")
+        child = ExecBackend(f"{sys.executable} {script}", timeout=2.0)
+        try:
+            first = infer_features(child, "binary16", "binary32")
+            second = infer_features(child, "binary16", "binary32")
+        finally:
+            child.close()
+        assert not first.complete
+        assert any("no reply within" in n for n in first.notes)
+        inproc = SimBackend(load_config("ampere"))
+        inproc._take_id()  # the wire session spent id 1 on the lost request
+        expected = infer_features(inproc, "binary16", "binary32")
+        assert second.complete
+        assert second.to_json() == expected.to_json()
+
+    def test_endless_reply_line_is_a_transport_failure(self, tmp_path):
+        script = tmp_path / "endless.py"
+        script.write_text(
+            "import sys\n"
+            "from mmaprobe.backend import SimBackend\n"
+            "from mmaprobe.presets import load_config\n"
+            "print(SimBackend(load_config('ampere')).handshake.to_json(),\n"
+            "      flush=True)\n"
+            "sys.stdin.readline()\n"
+            "while True:\n"
+            "    sys.stdout.write('7' * 65536)\n"
+            "    sys.stdout.flush()\n")
+        child = ExecBackend(f"{sys.executable} {script}", timeout=60.0)
+        started = time.monotonic()
+        try:
+            rep = infer_features(child, "binary16", "binary32")
+        finally:
+            child.close()
+        assert time.monotonic() - started < 30.0
+        assert not rep.complete
+        assert any(f"longer than {_MAX_LINE_BYTES} bytes" in n
+                   for n in rep.notes)
 
     def test_open_backend_specs(self):
         sess = open_backend("sim:ampere")

@@ -125,9 +125,10 @@ class TestGenVectors:
         assert code == 0
         obj = json.loads(out)
         names = [r["probe"] for r in obj["records"]]
-        assert names.index("subnormal") < names.index("algorithm1")
-        assert names.index("algorithm1") < names.index("rm_mbfma")
-        assert "ordering" in names
+        assert names == [
+            "subnormal", "subnormal", "algorithm1", "post_alignment",
+            "rm_bfma", "alignment_bits", "alignment_cancel", "normalisation",
+            "rm_mbfma", "ordering"]
         assert not any("skipped" in r for r in obj["records"])
 
     def test_all_without_width_skips_dependents(self, capsys):

@@ -12,11 +12,13 @@ from mmaprobe.inference import (
     FeatureReport,
     Field,
     InferOptions,
+    _STAGES,
     infer_features,
     parse_report,
     render_report,
 )
 from mmaprobe.presets import load_config
+from mmaprobe.selftest import GridCase, soundness_problems
 from mmaprobe.simulator import (
     BlockFmaConfig,
     CarryOverflow,
@@ -132,6 +134,20 @@ class TestGates:
 
 
 class TestReportInvariants:
+    def test_each_field_is_set_by_one_stage(self):
+        names = [name for name, _ in _STAGES]
+        assert sorted(names) == sorted(FeatureReport("x", "y").field_map())
+
+    @pytest.mark.parametrize("fin", ["bfloat16", "TensorFloat32"])
+    def test_subnormal_input_seen_on_narrower_output(self, fin):
+        # The smallest input subnormal lies below binary16's subnormal
+        # range, so the probe must lift it instead of reading a zero.
+        case = GridCase(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3), fin,
+                        "binary16")
+        rep = infer(case.cfg, fin=fin, fout="binary16")
+        assert rep.subnormal_in.render() == "✓"
+        assert soundness_problems(case, rep) == []
+
     @pytest.mark.parametrize("width,n_ecb", [(2, 1), (4, 2), (8, 3)])
     def test_carry_bound_respected(self, width, n_ecb):
         from mmaprobe.simulator import max_detectable_carry_bits
