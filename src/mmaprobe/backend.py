@@ -365,7 +365,8 @@ class ExecBackend(_SessionBase):
     """Session over a child process speaking the line protocol.
 
     One in-flight request at a time; a transport failure triggers one
-    restart-and-resend before giving up.
+    restart-and-resend before giving up, and a timeout replaces the child
+    before it is raised.
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
@@ -409,6 +410,10 @@ class ExecBackend(_SessionBase):
     def evaluate(self, req: MmaRequest) -> MmaReply:
         try:
             return self._round_trip(req)
+        except BackendTimeout:
+            self.close()
+            self._start()
+            raise
         except TransportError:
             self.close()
             self._start()

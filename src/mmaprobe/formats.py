@@ -65,56 +65,40 @@ class RoundingMode(enum.Enum):
         return self.value
 
 
-class _SpecialKind(enum.Enum):
+class Special(enum.Enum):
+    """A non-finite value: NaN or a signed infinity."""
+
     NAN = "NaN"
     POS_INF = "+Inf"
     NEG_INF = "-Inf"
 
-
-@dataclass(frozen=True)
-class Special:
-    """A non-finite value: NaN or a signed infinity."""
-
-    kind: _SpecialKind
-
     @property
     def is_nan(self) -> bool:
-        return self.kind is _SpecialKind.NAN
-
-    @property
-    def is_inf(self) -> bool:
-        return self.kind in (_SpecialKind.POS_INF, _SpecialKind.NEG_INF)
+        return self is Special.NAN
 
     @property
     def sign(self) -> int:
         """+1 or -1 for infinities; +1 for NaN (payloads are canonical)."""
-        return -1 if self.kind is _SpecialKind.NEG_INF else 1
-
-    def __neg__(self) -> "Special":
-        if self.kind is _SpecialKind.POS_INF:
-            return NEG_INF
-        if self.kind is _SpecialKind.NEG_INF:
-            return POS_INF
-        return NAN
+        return -1 if self is Special.NEG_INF else 1
 
     def __repr__(self) -> str:
-        return self.kind.value
+        return self.value
 
 
-NAN = Special(_SpecialKind.NAN)
-POS_INF = Special(_SpecialKind.POS_INF)
-NEG_INF = Special(_SpecialKind.NEG_INF)
+NAN, POS_INF, NEG_INF = Special.NAN, Special.POS_INF, Special.NEG_INF
 
 
 @dataclass(frozen=True)
 class Dyadic:
-    """Exact dyadic rational ``sign * sig * 2**exp``.
+    """Exact dyadic rational ``sign * sig * 2**exp``, canonical when built.
 
-    ``sig`` is a non-negative arbitrary-width integer.  The canonical form has
-    an odd significand, or ``sig == 0`` with ``exp == 0`` and positive sign.
-    A negative zero (``sign=-1, sig=0``) is representable but non-canonical;
-    it compares equal to zero and exists only so decode/encode can round-trip
-    the -0.0 bit pattern.
+    ``sig`` is a non-negative arbitrary-width integer.  Every value is
+    canonical: a nonzero significand is odd and a zero has ``exp == 0``, so
+    one value has one set of fields; the constructor rejects anything else
+    and ``make`` builds the canonical value from any triple.  The one second
+    zero is the negative zero ``(-1, 0, 0)``: it compares and hashes equal
+    to zero and exists only so decode/encode can round-trip the -0.0 bit
+    pattern.
     """
 
     sign: int
@@ -126,6 +110,9 @@ class Dyadic:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.sig < 0:
             raise ValueError("significand must be non-negative")
+        if (self.sig & 1 == 0) if self.sig else self.exp != 0:
+            raise ValueError(f"non-canonical Dyadic({self.sign}, {self.sig}, "
+                             f"{self.exp}); build it with Dyadic.make")
 
     # -- constructors -------------------------------------------------
 
@@ -150,15 +137,6 @@ class Dyadic:
         return self.sig == 0
 
     @property
-    def is_canonical(self) -> bool:
-        if self.sig == 0:
-            return self.exp == 0 and self.sign == 1
-        return self.sig & 1 == 1
-
-    def canonicalize(self) -> "Dyadic":
-        return Dyadic.make(self.sign, self.sig, self.exp)
-
-    @property
     def floor_log2(self) -> int:
         """Exponent of the leading significand bit (requires nonzero)."""
         if self.sig == 0:
@@ -167,22 +145,13 @@ class Dyadic:
 
     @property
     def bit_count(self) -> int:
-        """Width in bits of the canonical significand (0 for zero)."""
-        if self.sig == 0:
-            return 0
-        c = self.canonicalize() if not self.is_canonical else self
-        return c.sig.bit_length()
+        """Width in bits of the significand (0 for zero)."""
+        return self.sig.bit_length()
 
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.sign * self.sig * (1 << self.exp))
         return Fraction(self.sign * self.sig, 1 << -self.exp)
-
-    def scaled(self, j: int) -> "Dyadic":
-        """Exact multiplication by 2**j."""
-        if self.sig == 0:
-            return self
-        return Dyadic(self.sign, self.sig, self.exp + j)
 
     # -- exact arithmetic ---------------------------------------------
 
@@ -205,12 +174,12 @@ class Dyadic:
         if not isinstance(other, Dyadic):
             return NotImplemented
         if self.sig == 0:
-            # -0 + -0 keeps the sign; anything else gives the other operand.
-            if other.sig == 0 and self.sign == -1 and other.sign == -1:
-                return NEG_ZERO
-            return other.canonicalize()
+            # -0 + -0 keeps the sign; any other zero sum is +0.
+            if other.sig == 0:
+                return NEG_ZERO if self.sign == other.sign == -1 else ZERO
+            return other
         if other.sig == 0:
-            return self.canonicalize()
+            return self
         e = min(self.exp, other.exp)
         total = self._signed_int_at(e) + other._signed_int_at(e)
         if total == 0:
@@ -245,7 +214,8 @@ class Dyadic:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dyadic):
             return NotImplemented
-        return self._cmp(other) == 0
+        return (self.sig == other.sig and self.exp == other.exp
+                and (self.sign == other.sign or self.sig == 0))
 
     def __lt__(self, other: "Dyadic") -> bool:
         return self._cmp(other) < 0
@@ -260,17 +230,13 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        c = self.canonicalize()
-        return hash((c.sign if c.sig else 1, c.sig, c.exp if c.sig else 0))
+        return hash((self.sign if self.sig else 1, self.sig, self.exp))
 
     def __repr__(self) -> str:
-        if self.sig == 0:
-            return "-0" if self.sign == -1 else "0"
-        c = self.canonicalize()
-        s = "-" if c.sign < 0 else ""
-        if c.exp == 0:
-            return f"{s}{c.sig}"
-        return f"{s}{c.sig}*2^{c.exp}"
+        s = "-" if self.sign < 0 else ""
+        if self.exp == 0:
+            return f"{s}{self.sig}"
+        return f"{s}{self.sig}*2^{self.exp}"
 
 
 ZERO = Dyadic(1, 0, 0)
@@ -292,9 +258,7 @@ def sum_of_pow2(exponents) -> Dyadic:
 
 
 def _round_sig(sig: int, shift: int, sign: int, rm: RoundingMode) -> int:
-    """Round away ``shift`` low bits of ``sig`` (sign-magnitude semantics)."""
-    if shift <= 0:
-        return sig << -shift
+    """Round away ``shift > 0`` low bits of ``sig`` (sign-magnitude)."""
     kept = sig >> shift
     rem = sig & ((1 << shift) - 1)
     if rem == 0:
@@ -317,18 +281,13 @@ def _round_sig(sig: int, shift: int, sign: int, rm: RoundingMode) -> int:
 def round_to_precision(v: Dyadic, p: int, rm: RoundingMode) -> Dyadic:
     """Round ``v`` to at most ``p`` significand bits under ``rm``.
 
-    Exact when the canonical significand already fits; zero maps to zero.
+    Exact when the significand already fits; zero maps to itself.
     """
     if p < 1:
         raise ValueError("precision must be >= 1")
     if v.sig == 0:
-        return v.canonicalize() if v.sign == 1 else v
-    c = v.canonicalize()
-    shift = c.sig.bit_length() - p
-    if shift <= 0:
-        return c
-    kept = _round_sig(c.sig, shift, c.sign, rm)
-    return Dyadic.make(c.sign, kept, c.exp + shift)
+        return v
+    return round_to_grid(v, v.floor_log2 - p + 1, rm)
 
 
 def round_to_grid(v: Dyadic, grid_exp: int, rm: RoundingMode) -> Dyadic:
@@ -338,14 +297,10 @@ def round_to_grid(v: Dyadic, grid_exp: int, rm: RoundingMode) -> Dyadic:
     rounded/truncated in sign-magnitude form, exactly as a shifter that
     drops bits past a fixed fraction position would.
     """
-    if v.sig == 0:
+    shift = grid_exp - v.exp
+    if v.sig == 0 or shift <= 0:
         return v
-    c = v.canonicalize()
-    shift = grid_exp - c.exp
-    if shift <= 0:
-        return c
-    kept = _round_sig(c.sig, shift, c.sign, rm)
-    return Dyadic.make(c.sign, kept, grid_exp)
+    return Dyadic.make(v.sign, _round_sig(v.sig, shift, v.sign, rm), grid_exp)
 
 
 class EncodeFlags(NamedTuple):
@@ -528,34 +483,33 @@ def encode(v: Value, fmt: FpFormat,
     if v.sig == 0:
         return _encode_fields(v.sign, 0, 0, fmt), NO_FLAGS
 
-    c = v.canonicalize()
     frac_w = fmt.precision - 1
     sub_grid = fmt.emin - frac_w
-    if c.floor_log2 >= fmt.emin:
-        rounded = round_to_precision(c, fmt.precision, rm)
+    if v.floor_log2 >= fmt.emin:
+        rounded = round_to_precision(v, fmt.precision, rm)
     else:
-        rounded = round_to_grid(c, sub_grid, rm)
-    inexact = rounded != c
+        rounded = round_to_grid(v, sub_grid, rm)
+    inexact = rounded != v
 
     if rounded.is_zero:
         flags = EncodeFlags(inexact=True, underflow_flush=not fmt.subnormals)
-        return _encode_fields(c.sign, 0, 0, fmt), flags
+        return _encode_fields(v.sign, 0, 0, fmt), flags
 
     e = rounded.floor_log2
     if e > fmt.emax:
-        return _overflow_encoding(c.sign, fmt, rm)
+        return _overflow_encoding(v.sign, fmt, rm)
     if e >= fmt.emin:
         sig = rounded.sig << (frac_w - (rounded.floor_log2 - rounded.exp))
         biased = e + fmt.bias
         frac = sig & ((1 << frac_w) - 1)
-        return (_encode_fields(c.sign, biased, frac, fmt),
+        return (_encode_fields(v.sign, biased, frac, fmt),
                 EncodeFlags(inexact=inexact))
     # Subnormal magnitude.
     if not fmt.subnormals:
         flags = EncodeFlags(inexact=True, underflow_flush=True)
-        return _encode_fields(c.sign, 0, 0, fmt), flags
+        return _encode_fields(v.sign, 0, 0, fmt), flags
     frac = rounded.sig << (rounded.exp - sub_grid)
-    return (_encode_fields(c.sign, 0, frac, fmt),
+    return (_encode_fields(v.sign, 0, frac, fmt),
             EncodeFlags(inexact=inexact))
 
 

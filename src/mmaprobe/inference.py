@@ -227,8 +227,7 @@ def infer_features(session, fin_name: str, fout_name: str,
 def _block_width(s: _State) -> Field:
     # The same scan records the raw carry headroom for the n_ecb stage.
     s.scan = scan = run_algorithm1(
-        lambda _expected, vec: s.send(vec), s.fin, s.fout,
-        min(s.opts.k_max, s.session.handshake.kmax), extended=True)
+        s.send, s.fin, s.fout, min(s.opts.k_max, s.session.handshake.kmax))
     if not scan.conclusive:
         return Field.undetermined(
             f"no block split observed up to k={scan.k_stop}; a width bound "

@@ -116,15 +116,14 @@ def factor_into_operands(r: Dyadic, fin: FpFormat) -> tuple[Dyadic, Dyadic]:
     """
     if r.is_zero:
         return ZERO, ZERO
-    c = r.canonicalize()
-    if c.sig.bit_length() > fin.precision:
+    if r.bit_count > fin.precision:
         raise NotFactorable(
-            f"{r!r} needs {c.sig.bit_length()} significand bits, "
+            f"{r!r} needs {r.bit_count} significand bits, "
             f"{fin.name} has {fin.precision}")
-    target = c.floor_log2  # a * b == sig/2^(bits-1) * 2^(target)
+    target = r.floor_log2  # a * b == sig/2^(bits-1) * 2^(target)
     b_exp = min(max(target, fin.emin), fin.emax)
     a_exp = target - b_exp  # exponent of a's leading bit
-    a = Dyadic.make(c.sign, c.sig, a_exp - (c.sig.bit_length() - 1))
+    a = Dyadic.make(r.sign, r.sig, a_exp - (r.bit_count - 1))
     # a keeps its significand exact as long as its lowest bit stays on or
     # above the subnormal grid (normal a always does).
     if a_exp > fin.emax or a.exp < fin.emin - (fin.precision - 1):
@@ -147,6 +146,22 @@ def _padded(pairs_by_pos: dict[int, tuple[Dyadic, Dyadic]],
     for pos, pair in pairs_by_pos.items():
         out[pos - 1] = pair
     return tuple(out)
+
+
+def _rounding_probe(feature: str, pos: ProbeVector, lo: Dyadic,
+                    hi: Dyadic) -> Probe:
+    """Name the rounding mode from ``pos`` and its negation.
+
+    ``lo`` is the magnitude a truncating unit returns and ``hi`` the next
+    representable value above it; the four modes differ in which polarity
+    rounds up to ``hi``.
+    """
+    return Probe(feature=feature, vectors=(pos, pos.negated()), rows=(
+        ((lo, -lo), "Truncate"),
+        ((hi, -hi), "RNE"),
+        ((hi, -lo), "RU"),
+        ((lo, -hi), "RD"),
+    ))
 
 
 # -- subnormal support -------------------------------------------------
@@ -210,19 +225,8 @@ def gen_post_alignment_rounding_probe(fin: FpFormat, fout: FpFormat,
     pair = factor_into_operands(r, fin)
     pos = ProbeVector(f"post-align-round[n_eab={n_eab},j={j}]",
                       pow2(j), (pair, pair))
-    neg = pos.negated()
-    base = pow2(j)
-    up = pow2(j) + pow2(-p + j + 2 - n_eab)
-    return Probe(
-        feature="rm_post_alignment",
-        vectors=(pos, neg),
-        rows=(
-            ((base, -base), "Truncate"),
-            ((up, -up), "RNE"),
-            ((up, -base), "RU"),
-            ((base, -up), "RD"),
-        ),
-    )
+    return _rounding_probe("rm_post_alignment", pos, pow2(j),
+                           pow2(j) + pow2(-p + j + 2 - n_eab))
 
 
 # -- final rounding of one block (RM-BFMA) -----------------------------
@@ -241,19 +245,8 @@ def gen_rm_bfma_probe(fin: FpFormat, fout: FpFormat, j: int = 0) -> Probe:
     c = pow2(j) + pow2(-p + j + 1) + pow2(-p + j + 2)
     unit = factor_into_operands(pow2(j), fin)
     pos = ProbeVector(f"rm-bfma[j={j}]", c, (unit, unit, unit))
-    neg = pos.negated()
-    base = pow2(j + 2)
-    up = pow2(j + 2) + pow2(-p + j + 3)
-    return Probe(
-        feature="rm_bfma",
-        vectors=(pos, neg),
-        rows=(
-            ((base, -base), "Truncate"),
-            ((up, -up), "RNE"),
-            ((up, -base), "RU"),
-            ((base, -up), "RD"),
-        ),
-    )
+    return _rounding_probe("rm_bfma", pos, pow2(j + 2),
+                           pow2(j + 2) + pow2(-p + j + 3))
 
 
 # -- extra alignment bits ----------------------------------------------
@@ -420,17 +413,7 @@ def gen_rm_mbfma_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
         lo = pow2(j + 1) + pow2(-p + j + 2)
         hi = pow2(j + 1) + pow2(-p + j + 3)
     pos = ProbeVector(label, c, _padded({pos_idx: pair}, k))
-    neg = pos.negated()
-    return Probe(
-        feature="rm_mbfma",
-        vectors=(pos, neg),
-        rows=(
-            ((lo, -lo), "Truncate"),
-            ((hi, -hi), "RNE"),
-            ((hi, -lo), "RU"),
-            ((lo, -hi), "RD"),
-        ),
-    )
+    return _rounding_probe("rm_mbfma", pos, lo, hi)
 
 
 # -- combine ordering ---------------------------------------------------
@@ -570,53 +553,46 @@ class Algorithm1Result:
     conclusive: bool
     k_stop: int
     mismatch_labels: tuple[str, ...] = ()
-    carry_matches: tuple[int, ...] = ()
 
 
-def run_algorithm1(evaluate: Callable[[Dyadic, ProbeVector], Value],
-                   fin: FpFormat, fout: FpFormat, k_max: int,
-                   extended: bool = False) -> Algorithm1Result:
+def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
+                   fin: FpFormat, fout: FpFormat,
+                   k_max: int) -> Algorithm1Result:
     """Iterative search for the FMA width and detectable carry bits.
 
-    Per shared dimension ``k`` starting at two: run the boundary test in
-    both polarities (if EITHER magnitude differs from the exact sum the
-    width is ``k - 1`` and the loop stops), then the carry test, recording
+    Per shared dimension ``k`` starting at two: run every boundary vector
+    (if ANY magnitude differs from the exact sum the width is ``k - 1`` and
+    the loop stops), then the carry test, recording
     ``floor(log2(k * (2 - 2^(1-p_in))))`` whenever it comes back exact.
-    ``extended`` adds the mirrored and straddle boundary vectors, which
-    catch block splits that the head vectors cannot see when the
-    accumulator input joins a different partial sum.
+    The mirrored and straddle vectors beyond the published head pair catch
+    block splits that the head vectors cannot see when the accumulator
+    input joins a different partial sum.  The carry test is sent only
+    while its accumulator input is exact in ``fout``.
 
-    ``evaluate`` receives the exact expected value and the vector and must
-    return the device output; ``k_max`` exhaustion without a mismatch is
-    reported as inconclusive (width at least ``k_max``).
+    ``evaluate`` receives a vector and must return the device output;
+    ``k_max`` exhaustion without a mismatch is reported as inconclusive
+    (width at least ``k_max``).
     """
     from .simulator import max_detectable_carry_bits
 
     n_ecb = 0
-    carry_matches: list[int] = []
     k = 2
     while k <= k_max:
-        vectors = width_test_vectors(k, fin, fout)
-        if not extended:
-            vectors = vectors[:2]  # head pair only: the published loop
         mismatched: list[str] = []
-        for vec in vectors:
+        for vec in width_test_vectors(k, fin, fout):
+            d = evaluate(vec)
             expected = width_test_expected(vec)
-            d = evaluate(expected, vec)
             if isinstance(d, Special) or abs(d) != abs(expected):
                 mismatched.append(vec.label)
         if mismatched:
             return Algorithm1Result(
                 n_fma=k - 1, n_ecb=n_ecb, conclusive=True, k_stop=k,
-                mismatch_labels=tuple(mismatched),
-                carry_matches=tuple(carry_matches))
+                mismatch_labels=tuple(mismatched))
         cvec = carry_test_vector(k, fin, fout)
-        expected = width_test_expected(cvec)
-        d = evaluate(expected, cvec)
-        if not isinstance(d, Special) and d == expected:
-            n_ecb = max_detectable_carry_bits(k, fin.precision)
-            carry_matches.append(k)
+        if cvec.c.bit_count <= fout.precision:
+            d = evaluate(cvec)
+            if not isinstance(d, Special) and d == width_test_expected(cvec):
+                n_ecb = max_detectable_carry_bits(k, fin.precision)
         k += 1
     return Algorithm1Result(
-        n_fma=None, n_ecb=n_ecb, conclusive=False, k_stop=k_max,
-        carry_matches=tuple(carry_matches))
+        n_fma=None, n_ecb=n_ecb, conclusive=False, k_stop=k_max)

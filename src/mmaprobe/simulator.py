@@ -175,10 +175,9 @@ def exact_products(a: Sequence[Dyadic], b: Sequence[Dyadic],
 def exact_oracle(c: Dyadic, a: Sequence[Dyadic],
                  b: Sequence[Dyadic]) -> Dyadic:
     """Unrounded c + sum(a_l * b_l) as an exact Dyadic."""
-    acc = c.canonicalize() if not c.is_zero else c
     for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
+        c = c + x * y
+    return c
 
 
 def _resolve_specials(c: Value, products: Sequence[Value]) -> Optional[Value]:
@@ -270,8 +269,6 @@ def _fp_add_limited(x: Dyadic, y: Dyadic, cfg: BlockFmaConfig, p_out: int,
     check applies here.
     """
     raw = _aligned_sum((x, y), cfg, p_out, check_headroom=False)
-    if raw.is_zero:
-        return raw
     return round_to_precision(raw, p_out, rm)
 
 
@@ -296,18 +293,11 @@ def block_fma(c: Value, a: Sequence[Value], b: Sequence[Value],
 
     if cfg.norm_policy is NormPolicy.DEFERRED:
         raw = _aligned_sum((c, *products), cfg, p_out, check_headroom=True)
-        if raw.is_zero:
-            return raw
         return round_to_precision(raw, p_out, cfg.rm_intra)
 
     acc = c
     for r in products:
-        if acc.is_zero and r.is_zero:
-            acc = _signed_zero_sum((acc, r))
-            continue
         acc = _fp_add_limited(acc, r, cfg, p_out, cfg.rm_intra)
-    if acc.is_zero:
-        return acc
     return round_to_precision(acc, p_out, cfg.rm_intra)
 
 
@@ -338,8 +328,6 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
         special = _resolve_specials(x, (y,))
         if special is not None:
             return special
-        if x.is_zero and y.is_zero:
-            return _signed_zero_sum((x, y))
         return _fp_add_limited(x, y, cfg, p_out, cfg.rm_inter)
 
     if cfg.ordering is Ordering.C_FIRST:

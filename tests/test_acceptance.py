@@ -105,11 +105,11 @@ def test_criterion_3_carry_bound_spot_checks():
             continue
         cfg = BlockFmaConfig(fma_width=width, n_eab=1, n_ecb=expected)
 
-        def evaluate(_expected, vec: ProbeVector, _cfg=cfg, _fin=fin):
+        def evaluate(vec: ProbeVector, _cfg=cfg, _fin=fin):
             return mma_dot(vec.c, [a for a, _ in vec.pairs],
                            [b for _, b in vec.pairs], _cfg, B32)
 
-        res = run_algorithm1(evaluate, fin, B32, cfg.max_k, extended=True)
+        res = run_algorithm1(evaluate, fin, B32, cfg.max_k)
         if (res.n_fma, res.n_ecb) != (width, expected):
             failures.append(
                 f"detected({width},{fin_name})=({res.n_fma},{res.n_ecb})")

@@ -220,8 +220,10 @@ class TestExecLoopback:
 
     def test_stale_reply_after_timeout_is_discarded(self, tmp_path):
         # The child holds back its reply to request 1 until request 2
-        # arrives, long after the client gave up on it.
+        # arrives, long after the client gave up on it.  Every child logs
+        # the request ids it receives.
         script = tmp_path / "late.py"
+        ids = tmp_path / "ids.log"
         script.write_text(
             "import sys\n"
             "from mmaprobe.backend import MmaRequest, SimBackend\n"
@@ -231,6 +233,8 @@ class TestExecLoopback:
             "late = None\n"
             "for line in sys.stdin:\n"
             "    req = MmaRequest.from_json(line)\n"
+            f"    with open({str(ids)!r}, 'a') as log:\n"
+            "        log.write(f'{req.id}\\n')\n"
             "    if req.id == 1:\n"
             "        late = sim.evaluate(req)\n"
             "        continue\n"
@@ -251,6 +255,10 @@ class TestExecLoopback:
         expected = infer_features(inproc, "binary16", "binary32")
         assert second.complete
         assert second.to_json() == expected.to_json()
+        # The timed-out child was replaced at once, so its late reply never
+        # answered request 2 and no request was resent.
+        received = [int(x) for x in ids.read_text().split()]
+        assert received == list(range(1, len(second.evidence) + 2))
 
     def test_endless_reply_line_is_a_transport_failure(self, tmp_path):
         script = tmp_path / "endless.py"

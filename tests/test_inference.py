@@ -1,11 +1,13 @@
 """Inference pipeline, report model, and rendering tests."""
 
+import dataclasses
 import sys
 
 import pytest
 
+from mmaprobe import inference
 from mmaprobe.backend import ExecBackend, SimBackend
-from mmaprobe.formats import RoundingMode
+from mmaprobe.formats import ONE, RoundingMode, pow2
 from mmaprobe.inference import (
     QUAL_AT_LEAST,
     QUAL_EXACT,
@@ -18,6 +20,7 @@ from mmaprobe.inference import (
     render_report,
 )
 from mmaprobe.presets import load_config
+from mmaprobe.probes import ProbeVector
 from mmaprobe.selftest import GridCase, soundness_problems
 from mmaprobe.simulator import (
     BlockFmaConfig,
@@ -123,14 +126,34 @@ class TestGates:
         assert not rep.complete
         assert any("aborted" in n for n in rep.notes)
 
-    def test_inexact_probe_vector_marks_partial(self):
-        # bfloat16->binary16 is offered, but the carry[k=9] addend needs
-        # more significand bits than binary16 has.
-        cfg = BlockFmaConfig(fma_width=16, n_eab=1, n_ecb=4)
-        rep = infer(cfg, fin="bfloat16", fout="binary16")
+    def test_inexact_probe_vector_marks_partial(self, monkeypatch):
+        # A probe whose addend needs one more significand bit than
+        # binary32 has cannot be sent.
+        real = inference.gen_rm_bfma_probe
+
+        def inexact(fin, fout, j=0):
+            probe = real(fin, fout, j)
+            pos = ProbeVector("inexact", ONE + pow2(-fout.precision),
+                              probe.vectors[0].pairs)
+            return dataclasses.replace(probe, vectors=(pos, pos.negated()))
+
+        monkeypatch.setattr(inference, "gen_rm_bfma_probe", inexact)
+        rep = infer(load_config("ampere"))
         assert not rep.complete
-        assert any("carry[k=9] not exact in binary16" in n
+        assert any("addend of inexact not exact in binary32" in n
                    for n in rep.notes)
+
+    def test_carry_test_skipped_where_its_addend_is_inexact(self):
+        # From k=9 the bfloat16 carry vector's addend needs 12 significand
+        # bits; the width scan goes on without it.
+        case = GridCase(BlockFmaConfig(fma_width=16, n_eab=1, n_ecb=4),
+                        "bfloat16", "binary16")
+        rep = infer(case.cfg, fin="bfloat16", fout="binary16")
+        assert rep.complete
+        assert (rep.fma_width.qualifier, rep.fma_width.value) \
+            == (QUAL_EXACT, 16)
+        assert (rep.n_ecb.qualifier, rep.n_ecb.value) == (QUAL_AT_LEAST, 3)
+        assert soundness_problems(case, rep) == []
 
 
 class TestReportInvariants:

@@ -52,7 +52,7 @@ def eval_probe(probe: Probe, cfg: BlockFmaConfig, fout=B32):
 
 
 def sim_eval(cfg, fout=B32):
-    def evaluate(_expected, vec: ProbeVector):
+    def evaluate(vec: ProbeVector):
         return mma_dot(vec.c, [a for a, _ in vec.pairs],
                        [b for _, b in vec.pairs], cfg, fout)
     return evaluate
@@ -443,10 +443,9 @@ class TestOperandDiscipline:
 
 
 class TestWidthSearch:
-    def run(self, cfg, fin=B16, fout=B32, k_max=64, extended=True):
+    def run(self, cfg, fin=B16, fout=B32, k_max=64):
         k_max = min(k_max, cfg.max_k)
-        return run_algorithm1(sim_eval(cfg, fout), fin, fout, k_max,
-                              extended=extended)
+        return run_algorithm1(sim_eval(cfg, fout), fin, fout, k_max)
 
     def test_eight_wide_three_carry_bits(self):
         res = self.run(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3))
@@ -465,12 +464,6 @@ class TestWidthSearch:
         res = self.run(BlockFmaConfig(fma_width=4, n_eab=0, n_ecb=2))
         assert (res.n_fma, res.n_ecb) == (4, 2)
 
-    def test_published_loop_head_pair_only(self):
-        res = self.run(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3),
-                       extended=False)
-        assert (res.n_fma, res.n_ecb) == (8, 3)
-        assert all("head" in l for l in res.mismatch_labels)
-
     def test_bfloat_carry_bits(self):
         res = self.run(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3),
                        fin=BF16)
@@ -478,7 +471,7 @@ class TestWidthSearch:
 
     def test_inconclusive_at_cap(self):
         cfg = BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3)
-        res = run_algorithm1(sim_eval(cfg), B16, B32, 6, extended=True)
+        res = run_algorithm1(sim_eval(cfg), B16, B32, 6)
         assert not res.conclusive and res.n_fma is None
         assert res.n_ecb == 3  # matched carries up to the cap
 
