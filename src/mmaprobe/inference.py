@@ -279,9 +279,14 @@ def _carry_headroom(s: _State) -> Field:
         return Field.undetermined(
             "carry test needs the addend inside a block; ordering is "
             f"{s.ordering or 'unknown'}")
+    skipped = s.scan.carry_skipped_at
+    why_skipped = (f"carry test at k={skipped} needs an addend not exact "
+                   f"in {s.fout.name}")
+    if skipped == 2:
+        return Field.undetermined(why_skipped)
     if s.scan.n_ecb == 0:
         return Field(0, QUAL_EXACT)
-    return Field(s.scan.n_ecb, QUAL_AT_LEAST,
+    return Field(s.scan.n_ecb, QUAL_AT_LEAST, why_skipped if skipped else
                  "wider tests would need a larger block width")
 
 

@@ -553,6 +553,9 @@ class Algorithm1Result:
     conclusive: bool
     k_stop: int
     mismatch_labels: tuple[str, ...] = ()
+    # First k whose carry test was not sent: its addend is inexact in the
+    # output format, and so is every larger k's.
+    carry_skipped_at: Optional[int] = None
 
 
 def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
@@ -567,7 +570,8 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     The mirrored and straddle vectors beyond the published head pair catch
     block splits that the head vectors cannot see when the accumulator
     input joins a different partial sum.  The carry test is sent only
-    while its accumulator input is exact in ``fout``.
+    while its accumulator input is exact in ``fout``; the first ``k``
+    where it is not is recorded as ``carry_skipped_at``.
 
     ``evaluate`` receives a vector and must return the device output;
     ``k_max`` exhaustion without a mismatch is reported as inconclusive
@@ -576,6 +580,7 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     from .simulator import max_detectable_carry_bits
 
     n_ecb = 0
+    skipped_at: Optional[int] = None
     k = 2
     while k <= k_max:
         mismatched: list[str] = []
@@ -587,12 +592,18 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
         if mismatched:
             return Algorithm1Result(
                 n_fma=k - 1, n_ecb=n_ecb, conclusive=True, k_stop=k,
-                mismatch_labels=tuple(mismatched))
-        cvec = carry_test_vector(k, fin, fout)
-        if cvec.c.bit_count <= fout.precision:
-            d = evaluate(cvec)
-            if not isinstance(d, Special) and d == width_test_expected(cvec):
-                n_ecb = max_detectable_carry_bits(k, fin.precision)
+                mismatch_labels=tuple(mismatched),
+                carry_skipped_at=skipped_at)
+        if skipped_at is None:
+            cvec = carry_test_vector(k, fin, fout)
+            if cvec.c.bit_count > fout.precision:
+                skipped_at = k
+            else:
+                d = evaluate(cvec)
+                if not isinstance(d, Special) \
+                        and d == width_test_expected(cvec):
+                    n_ecb = max_detectable_carry_bits(k, fin.precision)
         k += 1
     return Algorithm1Result(
-        n_fma=None, n_ecb=n_ecb, conclusive=False, k_stop=k_max)
+        n_fma=None, n_ecb=n_ecb, conclusive=False, k_stop=k_max,
+        carry_skipped_at=skipped_at)

@@ -153,6 +153,29 @@ class TestGates:
         assert (rep.fma_width.qualifier, rep.fma_width.value) \
             == (QUAL_EXACT, 16)
         assert (rep.n_ecb.qualifier, rep.n_ecb.value) == (QUAL_AT_LEAST, 3)
+        assert rep.n_ecb.reason == ("carry test at k=9 needs an addend not "
+                                    "exact in binary16")
+        assert soundness_problems(case, rep) == []
+
+    def test_no_carry_test_sent_leaves_headroom_undetermined(self):
+        # A backend offering a pair whose input is more precise than its
+        # output: already the k=2 carry addend is inexact in the output,
+        # so no carry test is sent and nothing may be guessed from that.
+        case = GridCase(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3),
+                        "binary64", "binary32")
+        session = SimBackend(case.cfg)
+        session.handshake = dataclasses.replace(
+            session.handshake, pairs=(("binary64", "binary32"),))
+        rep = infer_features(session, "binary64", "binary32")
+        assert rep.complete
+        assert (rep.fma_width.qualifier, rep.fma_width.value) \
+            == (QUAL_EXACT, 8)
+        assert not rep.n_ecb.determinate
+        assert rep.n_ecb.reason == ("carry test at k=2 needs an addend not "
+                                    "exact in binary32")
+        assert not rep.immediate_norm.determinate
+        assert not any(x["label"].startswith("carry")
+                       for x in rep.evidence)
         assert soundness_problems(case, rep) == []
 
 
