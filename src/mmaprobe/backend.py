@@ -273,46 +273,40 @@ def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
     return _to_hex(d, fout, "result", rm)
 
 
-def _evaluate_with_config(req: MmaRequest, cfg: BlockFmaConfig,
-                          formats: dict[str, FpFormat]) -> MmaReply:
-    try:
-        fin = formats[req.fin]
-        fout = formats[req.fout]
-    except KeyError as e:
-        return MmaReply(req.id, error_code="Unsupported",
-                        error_message=f"unknown format {e.args[0]!r}")
-    if req.k > cfg.max_k:
-        return MmaReply(req.id, error_code="Unsupported",
-                        error_message=f"k={req.k} exceeds kmax={cfg.max_k}")
-    try:
-        return MmaReply(req.id, d=_dot_hex(req.a, req.b, req.c, cfg, fin,
-                                           fout))
-    except (FormatContract, SizeContract) as e:
-        return MmaReply(req.id, error_code="Unsupported",
-                        error_message=str(e))
-    except ValueError as e:
-        return MmaReply(req.id, error_code="BadRequest", error_message=str(e))
-    except ArithmeticError as e:
-        return MmaReply(req.id, error_code="Internal", error_message=str(e))
-
-
 class SimBackend(_SessionBase):
     """In-process session evaluating against a block-FMA configuration."""
 
-    def __init__(self, cfg: BlockFmaConfig,
-                 formats: Optional[dict[str, FpFormat]] = None) -> None:
+    def __init__(self, cfg: BlockFmaConfig) -> None:
         super().__init__()
         self.cfg = cfg
-        self.formats = dict(formats or REGISTRY)
-        names = list(self.formats)
-        pairs = tuple((fi, fo) for fi in names for fo in names
-                      if self.formats[fi].precision
-                      <= self.formats[fo].precision)
+        pairs = tuple((fi, fo) for fi in REGISTRY for fo in REGISTRY
+                      if REGISTRY[fi].precision <= REGISTRY[fo].precision)
         self.handshake = Handshake(proto=PROTO_VERSION, pairs=pairs,
                                    kmax=cfg.max_k)
 
     def evaluate(self, req: MmaRequest) -> MmaReply:
-        return _evaluate_with_config(req, self.cfg, self.formats)
+        try:
+            fin = REGISTRY[req.fin]
+            fout = REGISTRY[req.fout]
+        except KeyError as e:
+            return MmaReply(req.id, error_code="Unsupported",
+                            error_message=f"unknown format {e.args[0]!r}")
+        if req.k > self.cfg.max_k:
+            return MmaReply(req.id, error_code="Unsupported",
+                            error_message=f"k={req.k} exceeds "
+                            f"kmax={self.cfg.max_k}")
+        try:
+            return MmaReply(req.id, d=_dot_hex(req.a, req.b, req.c, self.cfg,
+                                               fin, fout))
+        except (FormatContract, SizeContract) as e:
+            return MmaReply(req.id, error_code="Unsupported",
+                            error_message=str(e))
+        except ValueError as e:
+            return MmaReply(req.id, error_code="BadRequest",
+                            error_message=str(e))
+        except ArithmeticError as e:
+            return MmaReply(req.id, error_code="Internal",
+                            error_message=str(e))
 
 
 # Longest line a child may write; a longer one is a transport failure, so
@@ -446,8 +440,7 @@ def open_backend(spec: str, timeout: float = 30.0) -> _SessionBase:
     raise ValueError(f"unknown backend spec {spec!r} (use sim:... or exec:...)")
 
 
-def serve(cfg: BlockFmaConfig, stdin=None, stdout=None,
-          formats: Optional[dict[str, FpFormat]] = None) -> int:
+def serve(cfg: BlockFmaConfig, stdin=None, stdout=None) -> int:
     """Child-process loop: handshake, then one reply per request line.
 
     This is the loopback server used to exercise the external protocol and
@@ -455,7 +448,7 @@ def serve(cfg: BlockFmaConfig, stdin=None, stdout=None,
     """
     inp = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
-    sim = SimBackend(cfg, formats)
+    sim = SimBackend(cfg)
     out.write(sim.handshake.to_json() + "\n")
     out.flush()
     for raw in inp:

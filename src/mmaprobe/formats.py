@@ -484,11 +484,7 @@ def encode(v: Value, fmt: FpFormat,
         return _encode_fields(v.sign, 0, 0, fmt), NO_FLAGS
 
     frac_w = fmt.precision - 1
-    sub_grid = fmt.emin - frac_w
-    if v.floor_log2 >= fmt.emin:
-        rounded = round_to_precision(v, fmt.precision, rm)
-    else:
-        rounded = round_to_grid(v, sub_grid, rm)
+    rounded = round_to_grid(v, max(v.floor_log2, fmt.emin) - frac_w, rm)
     inexact = rounded != v
 
     if rounded.is_zero:
@@ -508,7 +504,7 @@ def encode(v: Value, fmt: FpFormat,
     if not fmt.subnormals:
         flags = EncodeFlags(inexact=True, underflow_flush=True)
         return _encode_fields(v.sign, 0, 0, fmt), flags
-    frac = rounded.sig << (rounded.exp - sub_grid)
+    frac = rounded.sig << (rounded.exp - fmt.emin + frac_w)
     return (_encode_fields(v.sign, 0, frac, fmt),
             EncodeFlags(inexact=inexact))
 

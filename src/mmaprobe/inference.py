@@ -18,10 +18,13 @@ from typing import Optional
 
 from .formats import FpFormat, Value, lookup_format
 from .probes import (
+    QUAL_AT_LEAST,
+    QUAL_EXACT,
+    QUAL_UNDETERMINED,
     Algorithm1Result,
+    Field,
     Probe,
     ProbeVector,
-    Verdict,
     gen_alignment_bits_probe,
     gen_alignment_cancel_probe,
     gen_normalisation_probe,
@@ -49,50 +52,6 @@ __all__ = [
 ]
 
 SCHEMA = "mmaprobe-report/1"
-
-QUAL_EXACT = "="
-QUAL_AT_LEAST = ">="
-QUAL_UNDETERMINED = "?"
-
-
-@dataclass
-class Field:
-    """One inferred feature: a value, how firmly it is known, and why."""
-
-    value: object = None
-    qualifier: str = QUAL_UNDETERMINED
-    reason: str = ""
-
-    @property
-    def determinate(self) -> bool:
-        return self.qualifier != QUAL_UNDETERMINED
-
-    @property
-    def exact(self) -> bool:
-        return self.qualifier == QUAL_EXACT
-
-    def render(self) -> str:
-        if not self.determinate:
-            return "?"
-        if self.value is True:
-            return "✓"
-        if self.value is False:
-            return "✗"
-        prefix = "≥" if self.qualifier == QUAL_AT_LEAST else ""
-        return f"{prefix}{self.value}"
-
-    def to_obj(self) -> dict:
-        return {"value": self.value, "qualifier": self.qualifier,
-                "reason": self.reason}
-
-    @staticmethod
-    def from_obj(obj: dict) -> "Field":
-        return Field(obj["value"], obj["qualifier"], obj.get("reason", ""))
-
-    @staticmethod
-    def undetermined(reason: str) -> "Field":
-        return Field(None, QUAL_UNDETERMINED, reason)
-
 
 # The report's features in table order, with their table column headers.
 _FEATURES = (
@@ -126,7 +85,7 @@ class FeatureReport:
     def field_map(self) -> dict:
         return {name: getattr(self, name) for name, _ in _FEATURES}
 
-    def to_json(self, with_evidence: bool = True) -> str:
+    def to_json(self) -> str:
         obj = {
             "schema": SCHEMA,
             "fin": self.fin,
@@ -134,9 +93,8 @@ class FeatureReport:
             "complete": self.complete,
             "features": {n: f.to_obj() for n, f in self.field_map().items()},
             "notes": list(self.notes),
+            "evidence": list(self.evidence),
         }
-        if with_evidence:
-            obj["evidence"] = list(self.evidence)
         return json.dumps(obj, sort_keys=True, indent=2)
 
     @staticmethod
@@ -189,14 +147,8 @@ class _State:
     def send(self, vec: ProbeVector) -> Value:
         return self.session.run_vector(self.fin, self.fout, vec)
 
-    def verdict(self, probe: Probe) -> Verdict:
-        return probe.classify([self.send(vec) for vec in probe.vectors])
-
     def field(self, probe: Probe) -> Field:
-        verdict = self.verdict(probe)
-        if verdict.determinate:
-            return Field(verdict.value, QUAL_EXACT)
-        return Field.undetermined("observation matched no classifier row")
+        return probe.classify([self.send(vec) for vec in probe.vectors])
 
 
 def infer_features(session, fin_name: str, fout_name: str,
@@ -226,18 +178,18 @@ def infer_features(session, fin_name: str, fout_name: str,
 
 def _block_width(s: _State) -> Field:
     # The same scan records the raw carry headroom for the n_ecb stage.
-    s.scan = scan = run_algorithm1(
-        s.send, s.fin, s.fout, min(s.opts.k_max, s.session.handshake.kmax))
-    if not scan.conclusive:
+    k_max = min(s.opts.k_max, s.session.handshake.kmax)
+    s.scan = scan = run_algorithm1(s.send, s.fin, s.fout, k_max)
+    if scan.n_fma is None:
         return Field.undetermined(
-            f"no block split observed up to k={scan.k_stop}; a width bound "
+            f"no block split observed up to k={k_max}; a width bound "
             "would require knowing where the addend joins")
-    if any(("head" in l) or ("tail" in l) for l in scan.mismatch_labels):
+    if not scan.straddle_only:
         return Field(scan.n_fma, QUAL_EXACT)
     # Straddle-only split: the addend never met a block, so the boundary
     # position aliases small widths unless the tile geometry (two blocks
     # per inner product) pins it.
-    s.deferred_proven = scan.k_stop > 4
+    s.deferred_proven = scan.n_fma >= 4
     if s.deferred_proven:
         s.report.notes.append(
             "four-term prefixes accumulated losslessly before the "
@@ -245,7 +197,7 @@ def _block_width(s: _State) -> Field:
     if s.session.handshake.kmax == 2 * scan.n_fma:
         return Field(scan.n_fma, QUAL_EXACT,
                      "straddle split corroborated by tile k0 = 2*width")
-    return Field.undetermined(f"straddle split at k={scan.k_stop} is "
+    return Field.undetermined(f"straddle split at k={scan.n_fma + 1} is "
                               "width-ambiguous without tile geometry")
 
 
@@ -304,15 +256,15 @@ def _alignment_bits(s: _State) -> Field:
         return Field.undetermined(
             "addend outside blocks and per-addition rounding not excluded")
     for n in range(1, width):
-        verdicts = []
+        fields = []
         if not tree:
-            verdicts.append(s.verdict(
+            fields.append(s.field(
                 gen_alignment_bits_probe(s.fin, s.fout, n, s.opts.j)))
         if width >= 3:
-            verdicts.append(s.verdict(
+            fields.append(s.field(
                 gen_alignment_cancel_probe(s.fin, s.fout, n, s.opts.j)))
         # The cancellation outcome is exact and rounding-free; prefer it.
-        chosen = next((v for v in reversed(verdicts) if v.determinate), None)
+        chosen = next((f for f in reversed(fields) if f.determinate), None)
         if chosen is None:
             return Field.undetermined(
                 f"alignment observations at depth {n} matched no row")
@@ -348,10 +300,8 @@ def _normalisation(s: _State) -> Field:
         return Field(True, QUAL_EXACT,
                      "no carry headroom: immediate normalisation implied")
     if eab.determinate and (eab.value or 0) >= 1:
-        if width >= 2:
-            return s.field(gen_normalisation_probe(
-                s.fin, s.fout, "carry_and_align", s.opts.t))
-        return Field.undetermined("needs two products in one block")
+        return s.field(gen_normalisation_probe(
+            s.fin, s.fout, "carry_and_align", s.opts.t))
     if eab.determinate and eab.value == 0:
         if width >= 3:
             return s.field(gen_normalisation_probe(
@@ -386,8 +336,6 @@ def _rm_post_alignment(s: _State) -> Field:
     if s.width is None or s.ordering not in _C_ANCHORED:
         return Field.undetermined(
             "needs a known width and the addend inside the block")
-    if s.width < 2:
-        return Field.undetermined("needs two products in one block")
     eab = s.report.n_eab
     if not eab.exact:
         # With only a lower bound, deeper-surviving bits reach the final
@@ -404,13 +352,6 @@ def _rm_mbfma(s: _State) -> Field:
     width = s.width
     if width is None or s.ordering is None:
         return Field.undetermined("needs a known width and ordering")
-    if width == 1 and s.ordering in _C_ANCHORED:
-        # A width-1 report covers both genuine one-product blocks and
-        # immediately normalising wider units; on the latter a k=2 probe
-        # would read the per-addition mode, so no verdict is sound.
-        return Field.undetermined(
-            "width 1: block-combination rounding not separable from "
-            "per-addition rounding")
     eab = s.report.n_eab
     try:
         return s.field(gen_rm_mbfma_probe(

@@ -8,8 +8,8 @@ product is exact, and rounding-sensitive probes ship both sign polarities;
 classifiers judge the polarity pair jointly because directed rounding is
 sign-asymmetric.
 
-A classifier never guesses: observations matching no row yield the
-``UNDETERMINED`` verdict.
+A classifier never guesses: observations matching no row yield an
+undetermined ``Field`` with the reason.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from .formats import (
 )
 
 __all__ = [
-    "UNDETERMINED",
+    "QUAL_EXACT",
+    "QUAL_AT_LEAST",
+    "QUAL_UNDETERMINED",
+    "Field",
     "NotFactorable",
     "ProbeVector",
-    "Verdict",
     "Probe",
     "factor_into_operands",
-    "zero_pair",
     "gen_subnormal_probes",
     "gen_post_alignment_rounding_probe",
     "gen_rm_bfma_probe",
@@ -50,7 +51,48 @@ __all__ = [
     "Algorithm1Result",
 ]
 
-UNDETERMINED = "Undetermined"
+QUAL_EXACT = "="
+QUAL_AT_LEAST = ">="
+QUAL_UNDETERMINED = "?"
+
+
+@dataclass
+class Field:
+    """One feature verdict: a value, how firmly it is known, and why."""
+
+    value: object = None
+    qualifier: str = QUAL_UNDETERMINED
+    reason: str = ""
+
+    @property
+    def determinate(self) -> bool:
+        return self.qualifier != QUAL_UNDETERMINED
+
+    @property
+    def exact(self) -> bool:
+        return self.qualifier == QUAL_EXACT
+
+    def render(self) -> str:
+        if not self.determinate:
+            return "?"
+        if self.value is True:
+            return "✓"
+        if self.value is False:
+            return "✗"
+        prefix = "≥" if self.qualifier == QUAL_AT_LEAST else ""
+        return f"{prefix}{self.value}"
+
+    def to_obj(self) -> dict:
+        return {"value": self.value, "qualifier": self.qualifier,
+                "reason": self.reason}
+
+    @staticmethod
+    def from_obj(obj: dict) -> "Field":
+        return Field(obj["value"], obj["qualifier"], obj.get("reason", ""))
+
+    @staticmethod
+    def undetermined(reason: str) -> "Field":
+        return Field(None, QUAL_UNDETERMINED, reason)
 
 
 class NotFactorable(ValueError):
@@ -69,21 +111,9 @@ class ProbeVector:
     def k(self) -> int:
         return len(self.pairs)
 
-    def negated(self, label: Optional[str] = None) -> "ProbeVector":
+    def negated(self) -> "ProbeVector":
         flipped = tuple((-a, b) for a, b in self.pairs)
-        return ProbeVector(label or self.label + "-neg", -self.c, flipped)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one probe: a feature name and a value."""
-
-    feature: str
-    value: object
-
-    @property
-    def determinate(self) -> bool:
-        return self.value != UNDETERMINED
+        return ProbeVector(self.label + "-neg", -self.c, flipped)
 
 
 @dataclass(frozen=True)
@@ -95,15 +125,13 @@ class Probe:
     rows: tuple[tuple[tuple[Dyadic, ...], object], ...]
     note: str = ""
 
-    def classify(self, observed: Sequence[Value]) -> Verdict:
+    def classify(self, observed: Sequence[Value]) -> Field:
         if len(observed) != len(self.vectors):
             raise ValueError("observation count does not match vector count")
-        if any(isinstance(d, Special) for d in observed):
-            return Verdict(self.feature, UNDETERMINED)
         for expected, value in self.rows:
             if all(e == d for e, d in zip(expected, observed)):
-                return Verdict(self.feature, value)
-        return Verdict(self.feature, UNDETERMINED)
+                return Field(value, QUAL_EXACT)
+        return Field.undetermined("observation matched no classifier row")
 
 
 def factor_into_operands(r: Dyadic, fin: FpFormat) -> tuple[Dyadic, Dyadic]:
@@ -134,15 +162,13 @@ def factor_into_operands(r: Dyadic, fin: FpFormat) -> tuple[Dyadic, Dyadic]:
     return a, pow2(b_exp)
 
 
-def zero_pair() -> tuple[Dyadic, Dyadic]:
-    """Explicit zero filler product (never relies on backend zero-skip)."""
-    return ZERO, ZERO
-
-
 def _padded(pairs_by_pos: dict[int, tuple[Dyadic, Dyadic]],
             k: int) -> tuple[tuple[Dyadic, Dyadic], ...]:
-    """Place 1-indexed live pairs into a zero-filled length-k tuple."""
-    out = [zero_pair() for _ in range(k)]
+    """Place 1-indexed live pairs into a zero-filled length-k tuple.
+
+    Fillers are explicit zero products; no backend zero-skip is relied on.
+    """
+    out = [(ZERO, ZERO)] * k
     for pos, pair in pairs_by_pos.items():
         out[pos - 1] = pair
     return tuple(out)
@@ -170,15 +196,16 @@ def _rounding_probe(feature: str, pos: ProbeVector, lo: Dyadic,
 def gen_subnormal_probes(fin: FpFormat, fout: FpFormat) -> tuple[Probe, Probe]:
     """Input-side and output-side subnormal support tests.
 
-    Input side: the smallest positive subnormal of ``fin`` times one must
-    come back unchanged; where that lies below ``fout``'s subnormal range,
-    the other operand is the power of two that lifts the product to the
-    smallest normal of ``fout``.  Output side: an exact result below the
-    smallest normal of ``fout``, produced by a product when the input
+    Input side: a subnormal of ``fin`` times one must come back unchanged;
+    where it lies below ``fout``'s subnormal range, the other operand is
+    the power of two that lifts the product to the smallest normal of
+    ``fout``.  The subnormal is the smallest one of ``fin`` that a power
+    of two in ``fin`` can lift that far.  Output side: an exact result
+    below the smallest normal of ``fout``, produced by a product when the input
     exponent range reaches that low, else injected through the accumulator
     input.
     """
-    tiny = fin.min_subnormal
+    tiny = pow2(max(fin.min_subnormal.floor_log2, fout.emin - fin.emax))
     scale = ONE
     if tiny < fout.min_subnormal:
         scale = pow2(fout.emin - tiny.floor_log2)
@@ -197,7 +224,7 @@ def gen_subnormal_probes(fin: FpFormat, fout: FpFormat) -> tuple[Probe, Probe]:
         vec_out = ProbeVector("subnormal-out-product", ZERO, ((a, b),))
     else:
         # Input range cannot reach the subnormal band; ride the c input.
-        vec_out = ProbeVector("subnormal-out-addend", target, (zero_pair(),))
+        vec_out = ProbeVector("subnormal-out-addend", target, ((ZERO, ZERO),))
     probe_out = Probe(
         feature="subnormal_out",
         vectors=(vec_out,),
@@ -546,13 +573,12 @@ def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
 
 @dataclass
 class Algorithm1Result:
-    """Outcome of the iterative width / carry-bit search."""
+    """What the iterative width / carry-bit search observed."""
 
-    n_fma: Optional[int]
+    n_fma: Optional[int]  # None: no block split up to k_max
     n_ecb: int
-    conclusive: bool
-    k_stop: int
-    mismatch_labels: tuple[str, ...] = ()
+    # Only straddle vectors mismatched: the addend never met a block.
+    straddle_only: bool = False
     # First k whose carry test was not sent: its addend is inexact in the
     # output format, and so is every larger k's.
     carry_skipped_at: Optional[int] = None
@@ -574,16 +600,15 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     where it is not is recorded as ``carry_skipped_at``.
 
     ``evaluate`` receives a vector and must return the device output;
-    ``k_max`` exhaustion without a mismatch is reported as inconclusive
+    ``k_max`` exhaustion without a mismatch leaves ``n_fma`` at None
     (width at least ``k_max``).
     """
     from .simulator import max_detectable_carry_bits
 
     n_ecb = 0
     skipped_at: Optional[int] = None
-    k = 2
-    while k <= k_max:
-        mismatched: list[str] = []
+    for k in range(2, k_max + 1):
+        mismatched = []
         for vec in width_test_vectors(k, fin, fout):
             d = evaluate(vec)
             expected = width_test_expected(vec)
@@ -591,19 +616,14 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
                 mismatched.append(vec.label)
         if mismatched:
             return Algorithm1Result(
-                n_fma=k - 1, n_ecb=n_ecb, conclusive=True, k_stop=k,
-                mismatch_labels=tuple(mismatched),
+                n_fma=k - 1, n_ecb=n_ecb,
+                straddle_only=all(l.startswith("width-straddle")
+                                  for l in mismatched),
                 carry_skipped_at=skipped_at)
         if skipped_at is None:
             cvec = carry_test_vector(k, fin, fout)
             if cvec.c.bit_count > fout.precision:
                 skipped_at = k
-            else:
-                d = evaluate(cvec)
-                if not isinstance(d, Special) \
-                        and d == width_test_expected(cvec):
-                    n_ecb = max_detectable_carry_bits(k, fin.precision)
-        k += 1
-    return Algorithm1Result(
-        n_fma=None, n_ecb=n_ecb, conclusive=False, k_stop=k_max,
-        carry_skipped_at=skipped_at)
+            elif evaluate(cvec) == width_test_expected(cvec):
+                n_ecb = max_detectable_carry_bits(k, fin.precision)
+    return Algorithm1Result(None, n_ecb, carry_skipped_at=skipped_at)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .backend import SimBackend
 from .formats import RoundingMode, lookup_format
@@ -197,12 +197,8 @@ def expected_fields(case: GridCase) -> dict:
     return exp
 
 
-def check_case(case: GridCase,
-               report: Optional[FeatureReport] = None) -> list[str]:
-    """Run inference for a grid case and return mismatch descriptions."""
-    if report is None:
-        session = SimBackend(case.cfg)
-        report = infer_features(session, case.fin, case.fout)
+def check_case(case: GridCase, report: FeatureReport) -> list[str]:
+    """Mismatch descriptions of a grid case's report, one line each."""
     problems = [] if report.complete else ["report incomplete"]
     return problems + _field_problems(report, expected_fields(case))
 

@@ -19,7 +19,7 @@ ordering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .formats import (
@@ -131,9 +131,6 @@ class BlockFmaConfig:
     @property
     def max_k(self) -> int:
         return self.fma_width * self.blocks_per_tile
-
-    def with_(self, **kw) -> "BlockFmaConfig":
-        return replace(self, **kw)
 
 
 def max_detectable_carry_bits(k: int, p_in: int) -> int:

@@ -1,6 +1,6 @@
 """Acceptance suite: every exit criterion runs here at full strength.
 
-Each test prints one ``ACCEPTANCE n: PASS/FAIL`` line.  All comparisons are
+Each criterion test prints one ``ACCEPTANCE n: PASS/FAIL`` line.  All comparisons are
 exact (integer/enum/bit-pattern equality); there are no tolerances to tune.
 
 Criterion 8 (protocol loopback) spawns one child process per simulator
@@ -10,6 +10,7 @@ alignment combination with a rounding-mode subsample, because a full
 ``MMAPROBE_LOOPBACK_FULL=1`` to run the identical full grid over the wire.
 """
 
+import hashlib
 import os
 import random
 import sys
@@ -78,6 +79,19 @@ def test_criterion_1_round_trip_grid(grid_results):
                  f"({len(failures)} mismatching, {elapsed:.0f}s)")
     assert not failures, failures[:5]
     assert elapsed < 300.0, f"grid took {elapsed:.0f}s"
+
+
+# sha256 of every grid report's ``to_json()``, joined by newlines in
+# ``iter_grid()`` order.  A change meant to alter report bytes updates it.
+GRID_REPORTS_SHA256 = \
+    "508bfaeb891036caad1c4d2b1889f74bd03397bf885dd579d0278e13145e7d66"
+
+
+def test_grid_report_bytes_unchanged(grid_results):
+    """The grid's reports are byte-identical to the pinned digest."""
+    results, _ = grid_results
+    text = "\n".join(report.to_json() for _, report in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_REPORTS_SHA256
 
 
 def test_criterion_2_published_feature_rows():

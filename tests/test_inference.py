@@ -157,22 +157,28 @@ class TestGates:
                                     "exact in binary16")
         assert soundness_problems(case, rep) == []
 
-    def test_no_carry_test_sent_leaves_headroom_undetermined(self):
+    @pytest.mark.parametrize("fin,fout", [("binary64", "binary32"),
+                                          ("binary32", "binary16"),
+                                          ("binary64", "binary16")])
+    def test_no_carry_test_sent_leaves_headroom_undetermined(self, fin,
+                                                             fout):
         # A backend offering a pair whose input is more precise than its
         # output: already the k=2 carry addend is inexact in the output,
         # so no carry test is sent and nothing may be guessed from that.
+        # The subnormal probe still finds an exact operand to lift.
         case = GridCase(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3),
-                        "binary64", "binary32")
+                        fin, fout)
         session = SimBackend(case.cfg)
         session.handshake = dataclasses.replace(
-            session.handshake, pairs=(("binary64", "binary32"),))
-        rep = infer_features(session, "binary64", "binary32")
-        assert rep.complete
+            session.handshake, pairs=((fin, fout),))
+        rep = infer_features(session, fin, fout)
+        assert rep.complete, rep.notes
+        assert rep.subnormal_in.render() == "✓"
         assert (rep.fma_width.qualifier, rep.fma_width.value) \
             == (QUAL_EXACT, 8)
         assert not rep.n_ecb.determinate
         assert rep.n_ecb.reason == ("carry test at k=2 needs an addend not "
-                                    "exact in binary32")
+                                    f"exact in {fout}")
         assert not rep.immediate_norm.determinate
         assert not any(x["label"].startswith("carry")
                        for x in rep.evidence)

@@ -1,6 +1,7 @@
 """Block-FMA model tests: published behaviours, oracle equivalence, bounds."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -186,7 +187,7 @@ class TestMmaDot:
         d = mma_dot(ONE + pow2(-23), a, b, cfg, B32)
         assert d == ONE + pow2(-23)
         d = mma_dot(ONE + pow2(-23), a, b,
-                    cfg.with_(rm_inter=RoundingMode.RNE), B32)
+                    replace(cfg, rm_inter=RoundingMode.RNE), B32)
         assert d == ONE + pow2(-22)
 
     def test_ordering_outcomes(self):
@@ -196,9 +197,11 @@ class TestMmaDot:
         a[8], b[8] = pow2(-27), ONE
         cfg = cfgd()
         assert mma_dot(ONE, a, b, cfg, B32) == pow2(-27)
-        assert mma_dot(ONE, a, b, cfg.with_(ordering=Ordering.TREE_THEN_C),
+        assert mma_dot(ONE, a, b,
+                       replace(cfg, ordering=Ordering.TREE_THEN_C),
                        B32) == ZERO
-        assert mma_dot(ONE, a, b, cfg.with_(ordering=Ordering.C_WITH_LAST),
+        assert mma_dot(ONE, a, b,
+                       replace(cfg, ordering=Ordering.C_WITH_LAST),
                        B32) == ZERO
 
     def test_tile_bound(self):
@@ -312,7 +315,7 @@ def test_sign_symmetry():
                              norm_policy=rng.choice(list(NormPolicy)))
         c, a, b = random_inputs(rng, k)
         d = block_fma(c, a, b, cfg, B32)
-        mirror = cfg.with_(rm_intra=swap.get(rm, rm))
+        mirror = replace(cfg, rm_intra=swap.get(rm, rm))
         d_neg = block_fma(-c, [-x for x in a], b, mirror, B32)
         assert d_neg == -d or (d.is_zero and d_neg.is_zero)
 
