@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .formats import (
-    Dyadic,
     FpFormat,
     REGISTRY,
     RoundingMode,
@@ -269,8 +268,7 @@ def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
     exact_products([x for x, _ in finite_pairs],
                    [y for _, y in finite_pairs], fin, fout)
     d = mma_dot(c, a, b, cfg, fout)
-    rm = cfg.rm_intra if isinstance(d, Dyadic) else RoundingMode.RNE
-    return _to_hex(d, fout, "result", rm)
+    return _to_hex(d, fout, "result", cfg.rm_intra)
 
 
 class SimBackend(_SessionBase):
@@ -381,13 +379,17 @@ class ExecBackend(_SessionBase):
             raise TransportError(f"cannot start backend: {e}") from e
         self._pipe = _LinePipe(self._proc)
         try:
-            self.handshake = Handshake.from_json(
-                self._pipe.read_line(self.timeout))
-        except (ValueError, KeyError) as e:
-            raise TransportError(f"bad handshake: {e}") from e
-        if self.handshake.proto != PROTO_VERSION:
-            raise TransportError(
-                f"protocol {self.handshake.proto} not supported")
+            try:
+                self.handshake = Handshake.from_json(
+                    self._pipe.read_line(self.timeout))
+            except (ValueError, KeyError) as e:
+                raise TransportError(f"bad handshake: {e}") from e
+            if self.handshake.proto != PROTO_VERSION:
+                raise TransportError(
+                    f"protocol {self.handshake.proto} not supported")
+        except BaseException:
+            self.close()  # a failed start leaves no child running
+            raise
 
     def _round_trip(self, req: MmaRequest) -> MmaReply:
         self._pipe.write_line(req.to_json())

@@ -20,7 +20,6 @@ from typing import Optional
 
 from .backend import (
     BackendError,
-    TransportError,
     MmaRequest,
     _to_hex,
     _vector_hex,
@@ -175,9 +174,6 @@ def cmd_probe(args) -> int:
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_USAGE
-    except BackendError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_ERROR
     j, t = args.seed_params
     opts = InferOptions(k_max=args.kmax, j=j, t=t)
     try:
@@ -218,9 +214,6 @@ def cmd_eval(args) -> int:
         req = MmaRequest(id=1, fin=fin.name, fout=fout.name, k=len(a),
                          a=tuple(a), b=tuple(b), c=args.c)
         reply = session.evaluate(req)
-    except BackendError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_ERROR
     finally:
         session.close()
     if not reply.ok:
@@ -365,7 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EX_USAGE
-    except TransportError as e:
+    except BackendError as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_ERROR
     except BrokenPipeError:

@@ -258,11 +258,9 @@ def sum_of_pow2(exponents) -> Dyadic:
 
 
 def _round_sig(sig: int, shift: int, sign: int, rm: RoundingMode) -> int:
-    """Round away ``shift > 0`` low bits of ``sig`` (sign-magnitude)."""
+    """Round away ``shift > 0`` low bits of an odd ``sig`` (sign-magnitude)."""
     kept = sig >> shift
     rem = sig & ((1 << shift) - 1)
-    if rem == 0:
-        return kept
     if rm in (RoundingMode.RZ, RoundingMode.TRUNCATE):
         return kept
     if rm is RoundingMode.RU:
@@ -439,74 +437,44 @@ def decode(bits: int, fmt: FpFormat) -> Value:
     return Dyadic.make(sign, (1 << frac_w) | frac, biased - fmt.bias - frac_w)
 
 
-def _encode_fields(sign: int, biased: int, frac: int, fmt: FpFormat) -> int:
-    pad = fmt.pad_bits
-    frac_w = fmt.precision - 1
-    word = (frac << pad) | (biased << (pad + frac_w))
-    if sign < 0:
-        word |= 1 << (fmt.storage_bits - 1)
-    return word
-
-
-def _overflow_encoding(sign: int, fmt: FpFormat,
-                       rm: RoundingMode) -> tuple[int, EncodeFlags]:
-    flags = EncodeFlags(inexact=True, overflow=True)
-    max_biased = (1 << fmt.exp_bits) - 1
-    to_inf = (
-        rm is RoundingMode.RNE
-        or (rm is RoundingMode.RU and sign > 0)
-        or (rm is RoundingMode.RD and sign < 0)
-    )
-    if to_inf:
-        return _encode_fields(sign, max_biased, 0, fmt), flags
-    full = (1 << (fmt.precision - 1)) - 1
-    return _encode_fields(sign, max_biased - 1, full, fmt), flags
-
-
 def encode(v: Value, fmt: FpFormat,
            rm: RoundingMode = RoundingMode.RNE) -> tuple[int, EncodeFlags]:
     """Round ``v`` into ``fmt`` under ``rm`` and return (bits, flags).
 
-    Overflow follows the usual directed-rounding rules (RNE to infinity,
-    RZ/truncate to the largest finite, RU/RD by sign).  Results below the
-    normal range round on the subnormal grid; if the format has no
-    subnormals they flush to zero with ``underflow_flush`` set.
+    A finite nonzero value rounds on its binade's grid of ``2**(p-1)``
+    steps (the subnormal grid below the normal range).  Counted in steps of
+    that grid, the rounded value is its exponent and fraction fields as one
+    word, a carry into the next binade included.  A word at or past the
+    all-ones exponent overflows under the usual directed-rounding rules
+    (RNE to infinity, RZ/truncate to the largest finite, RU/RD by sign).
+    A subnormal word flushes to zero with ``underflow_flush`` set if the
+    format has no subnormals.
     """
-    if isinstance(v, Special):
-        max_biased = (1 << fmt.exp_bits) - 1
-        if v.is_nan:
-            # Canonical quiet NaN: top fraction bit set, positive sign.
-            return _encode_fields(1, max_biased,
-                                  1 << (fmt.precision - 2), fmt), NO_FLAGS
-        return _encode_fields(v.sign, max_biased, 0, fmt), NO_FLAGS
-
-    if v.sig == 0:
-        return _encode_fields(v.sign, 0, 0, fmt), NO_FLAGS
-
     frac_w = fmt.precision - 1
-    rounded = round_to_grid(v, max(v.floor_log2, fmt.emin) - frac_w, rm)
-    inexact = rounded != v
-
-    if rounded.is_zero:
-        flags = EncodeFlags(inexact=True, underflow_flush=not fmt.subnormals)
-        return _encode_fields(v.sign, 0, 0, fmt), flags
-
-    e = rounded.floor_log2
-    if e > fmt.emax:
-        return _overflow_encoding(v.sign, fmt, rm)
-    if e >= fmt.emin:
-        sig = rounded.sig << (frac_w - (rounded.floor_log2 - rounded.exp))
-        biased = e + fmt.bias
-        frac = sig & ((1 << frac_w) - 1)
-        return (_encode_fields(v.sign, biased, frac, fmt),
-                EncodeFlags(inexact=inexact))
-    # Subnormal magnitude.
-    if not fmt.subnormals:
-        flags = EncodeFlags(inexact=True, underflow_flush=True)
-        return _encode_fields(v.sign, 0, 0, fmt), flags
-    frac = rounded.sig << (rounded.exp - fmt.emin + frac_w)
-    return (_encode_fields(v.sign, 0, frac, fmt),
-            EncodeFlags(inexact=inexact))
+    inf_word = ((1 << fmt.exp_bits) - 1) << frac_w
+    flags = NO_FLAGS
+    if isinstance(v, Special):
+        # A NaN is the canonical quiet NaN: top fraction bit set, positive.
+        word = inf_word | (1 << (frac_w - 1) if v.is_nan else 0)
+    elif v.sig == 0:
+        word = 0
+    else:
+        grid = max(v.floor_log2, fmt.emin) - frac_w
+        r = round_to_grid(v, grid, rm)
+        word = (((grid - fmt.emin + frac_w) << frac_w)
+                + (r.sig << (r.exp - grid)))
+        flags = EncodeFlags(inexact=r != v)
+        if word >= inf_word:
+            away = RoundingMode.RU if v.sign > 0 else RoundingMode.RD
+            to_inf = rm is RoundingMode.RNE or rm is away
+            word = inf_word if to_inf else inf_word - 1
+            flags = EncodeFlags(inexact=True, overflow=True)
+        elif word < 1 << frac_w and not fmt.subnormals:
+            word = 0
+            flags = EncodeFlags(inexact=True, underflow_flush=True)
+    if v.sign < 0:
+        word |= 1 << (fmt.exp_bits + frac_w)
+    return word << fmt.pad_bits, flags
 
 
 def bits_to_hex(bits: int, fmt: FpFormat) -> str:

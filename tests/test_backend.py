@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import random
+import signal
 import sys
 import time
 
@@ -10,6 +12,7 @@ import pytest
 
 from mmaprobe.backend import (
     _MAX_LINE_BYTES,
+    BackendError,
     ExecBackend,
     Handshake,
     MmaReply,
@@ -134,6 +137,25 @@ class TestSimBackend:
         reply = sess.evaluate(req)
         assert reply.error_code == "Unsupported"
 
+    def test_product_wider_than_output_is_unsupported(self):
+        # 0x3fff is 255*2^-7, so its square needs 16 significand bits.
+        sess = SimBackend(BlockFmaConfig())
+        req = MmaRequest(id=1, fin="bfloat16", fout="binary16", k=1,
+                         a=("3fff",), b=("3fff",), c="0000")
+        reply = sess.evaluate(req)
+        assert reply.error_code == "Unsupported"
+        assert reply.error_message.startswith(
+            "product 65025*2^-14 needs more than 11 bits")
+
+    def test_short_pattern_is_bad_request(self):
+        sess = SimBackend(BlockFmaConfig())
+        req = MmaRequest(id=1, fin="binary16", fout="binary32", k=1,
+                         a=("3c0",), b=("3c00",), c="00000000")
+        reply = sess.evaluate(req)
+        assert reply.error_code == "BadRequest"
+        assert reply.error_message == \
+            "binary16 patterns need 4 hex digits, got '3c0'"
+
     def test_run_vector_guards(self):
         sess = SimBackend(BlockFmaConfig(fma_width=2, blocks_per_tile=1))
         vec = ProbeVector("big", ZERO, tuple([(ZERO, ZERO)] * 9))
@@ -217,6 +239,27 @@ class TestExecLoopback:
         cmd = f"{sys.executable} -c \"print('not a handshake')\""
         with pytest.raises(TransportError):
             ExecBackend(cmd, timeout=5.0)
+
+    @pytest.mark.parametrize("handshake", [
+        None, '{"proto": 2, "pairs": [], "kmax": 1}'],
+        ids=["silent", "proto-2"])
+    def test_failed_start_leaves_no_child(self, tmp_path, handshake):
+        pid_file = tmp_path / "pid"
+        script = tmp_path / "child.py"
+        script.write_text(
+            "import os, pathlib, time\n"
+            f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+            + (f"print({handshake!r}, flush=True)\n" if handshake else "")
+            + "time.sleep(30)\n")
+        with pytest.raises(BackendError):
+            ExecBackend(f"{sys.executable} {script}", timeout=1.0)
+        pid = int(pid_file.read_text())
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        os.kill(pid, signal.SIGKILL)  # still our unreaped child
+        pytest.fail(f"child {pid} kept running after the failed start")
 
     def test_stale_reply_after_timeout_is_discarded(self, tmp_path):
         # The child holds back its reply to request 1 until request 2

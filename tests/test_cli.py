@@ -3,6 +3,9 @@
 import json
 import sys
 
+import pytest
+
+from mmaprobe import selftest
 from mmaprobe.cli import main
 
 AMPERE = "sim:ampere"
@@ -197,6 +200,84 @@ class TestEnvironmentDefaults:
         assert out1 == out2
         _, stamped, _ = run(capsys, *args, "--stamp")
         assert "generated" in stamped
+
+
+def _replying_child(tmp_path, reply):
+    """exec: spec of a child that handshakes, then answers each request
+    ``line`` with the Python expression ``reply``."""
+    script = tmp_path / "child.py"
+    script.write_text(
+        "import json, sys\n"
+        "from mmaprobe.backend import SimBackend\n"
+        "from mmaprobe.simulator import BlockFmaConfig\n"
+        "print(SimBackend(BlockFmaConfig()).handshake.to_json(), flush=True)\n"
+        "for line in sys.stdin:\n"
+        f"    print({reply}, flush=True)\n")
+    return f"exec:{sys.executable} {script}"
+
+
+class TestBackendFailures:
+    """Wire failures end in one error line, or in an incomplete report."""
+
+    COMMANDS = {"probe": ("probe",), "eval": ("eval", "--c", "00000000")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_child_without_handshake(self, capsys, command):
+        silent = f'exec:{sys.executable} -c "import time; time.sleep(30)"'
+        code, out, err = run(capsys, *self.COMMANDS[command],
+                             "--backend", silent, "--timeout", "0.5",
+                             "--in", "binary16", "--out", "binary32")
+        assert (code, out, err) == (1, "", "error: no reply within 0.5s\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_harness(self, capsys, command):
+        code, out, err = run(capsys, *self.COMMANDS[command],
+                             "--backend", "exec:/nonexistent/harness",
+                             "--in", "binary16", "--out", "binary32")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot start backend: ")
+
+    @pytest.mark.parametrize("reply, note", [
+        ("'not json'", "aborted: bad reply line 'not json': "),
+        ("json.dumps({'id': json.loads(line)['id'] + 1, 'd': '00000000'})",
+         "aborted: reply id 2 does not match request 1"),
+    ], ids=["garbage", "wrong-id"])
+    def test_bad_replies_give_incomplete_report(self, capsys, tmp_path,
+                                                reply, note):
+        code, out, _ = run(capsys, "probe",
+                           "--backend", _replying_child(tmp_path, reply),
+                           "--in", "binary16", "--out", "binary32")
+        assert code == 2
+        assert "INCOMPLETE: binary16->binary32" in out
+        assert f"\nnote: {note}" in out
+
+
+class TestSelftestCommand:
+    @pytest.fixture(autouse=True)
+    def three_cases(self, monkeypatch):
+        cases = list(selftest.iter_grid(fins=("binary16",), quick=True))[:3]
+        monkeypatch.setattr(selftest, "iter_grid",
+                            lambda quick=False: iter(cases))
+
+    def test_passes(self, capsys):
+        code, out, _ = run(capsys, "selftest")
+        assert code == 0
+        assert "PASS round-trip grid: 3/3 configurations" in out
+        assert out.count("PASS golden ") == 4
+
+    def test_reports_a_mismatch(self, capsys, monkeypatch):
+        expected_fields = selftest.expected_fields
+
+        def off_by_one(case):
+            fields = expected_fields(case)
+            fields["fma_width"] = ("exact", case.cfg.fma_width + 1)
+            return fields
+
+        monkeypatch.setattr(selftest, "expected_fields", off_by_one)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 2
+        assert out.count("FAIL grid binary16 ") == 3
+        assert "FAIL round-trip grid: 0/3 configurations" in out
 
 
 class TestUsage:

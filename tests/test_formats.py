@@ -1,11 +1,14 @@
 """Format decode/encode and exact-value arithmetic tests.
 
 Expected values come from independent oracles: the host's IEEE 754
-`struct` codecs for the interchange formats, and Fraction arithmetic with
-a brute-force grid search for the rounding kernels.
+`struct` codecs for the interchange formats, Fraction arithmetic with
+a brute-force grid search for the rounding kernels, and each format's own
+table of decoded values for rounding in `encode`.
 """
 
+import dataclasses
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -22,6 +25,9 @@ from mmaprobe.formats import (
     REGISTRY,
     ZERO,
     Dyadic,
+    EncodeFlags,
+    FpFormat,
+    NO_FLAGS,
     RoundingMode,
     Special,
     bits_to_hex,
@@ -263,7 +269,6 @@ class TestEncode:
         assert decode(bits, B32) is NEG_INF
 
     def test_subnormal_flush_flag(self):
-        from mmaprobe.formats import FpFormat
         ftz = FpFormat("b16ftz", precision=11, exp_bits=5, storage_bits=16,
                        subnormals=False)
         bits, fl = encode(pow2(-24), ftz, RoundingMode.RNE)
@@ -313,6 +318,94 @@ def test_roundtrip_all_finite_patterns(fmt):
         for rm in ALL_RMS:
             back, fl = encode(v, fmt, rm)
             assert back == bits and not fl.inexact, (hex(bits), rm)
+
+
+B16_FTZ = FpFormat("binary16-ftz", precision=11, exp_bits=5, storage_bits=16,
+                   subnormals=False)
+E5M2 = FpFormat("e5m2", precision=3, exp_bits=5, storage_bits=8)
+_AWAY = {(RoundingMode.RU, 1), (RoundingMode.RD, -1)}
+
+
+def _value_table(fmt):
+    """Every non-negative finite value of ``fmt`` in pattern order, then
+    2^(emax+1) standing in for the all-ones-exponent pattern after them."""
+    last = ((1 << fmt.exp_bits) - 1) << (fmt.precision - 1)
+    return [decode(bits, fmt) for bits in range(last)] + [pow2(fmt.emax + 1)]
+
+
+def _oracle(table, mag, lo, sign, rm):
+    """Expected (magnitude pattern, flags) for ``sign * mag``, where
+    ``table[lo] <= mag < table[lo + 1]`` or ``mag`` is past the table."""
+    last = len(table) - 1
+    if mag >= table[last]:
+        pick = last
+    elif mag == table[lo]:
+        return lo, NO_FLAGS
+    elif rm is RoundingMode.RNE:
+        below, above = mag - table[lo], table[lo + 1] - mag
+        if below == above:  # a tie goes to the even pattern
+            pick = lo if lo % 2 == 0 else lo + 1
+        else:
+            pick = lo if below < above else lo + 1
+    else:
+        pick = lo + 1 if (rm, sign) in _AWAY else lo
+    if pick < last:
+        return pick, EncodeFlags(inexact=True)
+    to_inf = rm is RoundingMode.RNE or (rm, sign) in _AWAY
+    return (last if to_inf else last - 1,
+            EncodeFlags(inexact=True, overflow=True))
+
+
+def _oracle_points(table, fmt):
+    """(magnitude, index of the table value at or below it) test points:
+    the values and quarter points between neighbours around every power
+    of two, the largest subnormal and a seeded sample, then values at and
+    past 2^(emax+1)."""
+    last = len(table) - 1
+    largest_subnormal = (1 << (fmt.precision - 1)) - 1
+    lows = {largest_subnormal - 1, largest_subnormal}
+    for i, v in enumerate(table):
+        if v.sig == 1:
+            lows |= {i - 1, i} if i < last else {i - 1}
+    lows |= set(random.Random(fmt.name).sample(range(last), min(300, last)))
+    points = []
+    for i in sorted(lows):
+        gap = table[i + 1] - table[i]
+        for quarter in range(4):
+            points.append((table[i] + gap * Dyadic.make(1, quarter, -2), i))
+    beyond = pow2(fmt.emax + 1)
+    points += [(beyond, last), (beyond + pow2(fmt.emax), last),
+               (pow2(fmt.emax + 64), last)]
+    return points
+
+
+@pytest.mark.parametrize("fmt", [B16, BF16, B16_FTZ, E5M2],
+                         ids=lambda f: f.name)
+def test_encode_matches_value_table(fmt):
+    """``encode`` agrees with the format's own decoded values at binade
+    edges, ties, the subnormal range and past the largest finite value.
+
+    A format without subnormals expects its subnormal twin's result, or
+    a signed zero flushed from a nonzero value below the smallest normal.
+    """
+    twin = dataclasses.replace(fmt, subnormals=True)
+    table = _value_table(twin)
+    min_normal = 1 << (fmt.precision - 1)
+    flushed = EncodeFlags(inexact=True, underflow_flush=True)
+    bad = []
+    for mag, lo in _oracle_points(table, twin):
+        for sign in (1, -1):
+            v = mag if sign > 0 else -mag
+            sign_bit = (1 << (fmt.storage_bits - 1)) if sign < 0 else 0
+            for rm in ALL_RMS:
+                pattern, flags = _oracle(table, mag, lo, sign, rm)
+                if not fmt.subnormals and mag.sig and pattern < min_normal:
+                    pattern, flags = 0, flushed
+                want = (sign_bit | pattern, flags)
+                got = encode(v, fmt, rm)
+                if got != want:
+                    bad.append((v, rm, got, want))
+    assert not bad, bad[:5]
 
 
 def test_hex_rendering():

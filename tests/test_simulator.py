@@ -204,6 +204,22 @@ class TestMmaDot:
                        replace(cfg, ordering=Ordering.C_WITH_LAST),
                        B32) == ZERO
 
+    @pytest.mark.parametrize("ordering", list(Ordering),
+                             ids=lambda o: o.value)
+    def test_specials_meet_in_block_combine(self, ordering):
+        # Width one gives each product a block of its own, so the special
+        # values below meet when block results combine.
+        cfg = cfgd(fma_width=1, ordering=ordering)
+        cases = [
+            (ZERO, [ONE, POS_INF], [ONE, ONE], POS_INF),
+            (ZERO, [POS_INF, NEG_INF], [ONE, ONE], NAN),
+            (NEG_INF, [ONE, POS_INF], [ONE, ONE], NAN),
+            (ZERO, [ONE, NAN], [ONE, ONE], NAN),
+            (ZERO, [ONE, POS_INF], [ONE, ZERO], NAN),
+        ]
+        for c, a, b, want in cases:
+            assert mma_dot(c, a, b, cfg, B32) is want, (c, a, b)
+
     def test_tile_bound(self):
         cfg = cfgd(blocks_per_tile=2)
         with pytest.raises(SizeContract):
