@@ -88,6 +88,21 @@ class BackendTimeout(BackendError):
     """No reply within the configured per-request timeout."""
 
 
+def _parse_object(line: str, build):
+    """``build`` applied to one wire line's JSON object.
+
+    A line that is not a JSON object, or a field of the wrong shape,
+    raises ``ValueError``.
+    """
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    try:
+        return build(obj)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"bad field: {e!r}") from e
+
+
 @dataclass(frozen=True)
 class Handshake:
     proto: int
@@ -106,12 +121,11 @@ class Handshake:
 
     @staticmethod
     def from_json(line: str) -> "Handshake":
-        obj = json.loads(line)
-        return Handshake(
+        return _parse_object(line, lambda obj: Handshake(
             proto=int(obj["proto"]),
             pairs=tuple((str(a), str(b)) for a, b in obj["pairs"]),
             kmax=int(obj["kmax"]),
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -134,11 +148,10 @@ class MmaRequest:
 
     @staticmethod
     def from_json(line: str) -> "MmaRequest":
-        obj = json.loads(line)
-        req = MmaRequest(
+        req = _parse_object(line, lambda obj: MmaRequest(
             id=int(obj["id"]), fin=str(obj["fin"]), fout=str(obj["fout"]),
             k=int(obj["k"]), a=tuple(str(x) for x in obj["a"]),
-            b=tuple(str(x) for x in obj["b"]), c=str(obj["c"]))
+            b=tuple(str(x) for x in obj["b"]), c=str(obj["c"])))
         if len(req.a) != req.k or len(req.b) != req.k:
             raise ValueError("operand list lengths do not match k")
         return req
@@ -165,7 +178,10 @@ class MmaReply:
 
     @staticmethod
     def from_json(line: str) -> "MmaReply":
-        obj = json.loads(line)
+        return _parse_object(line, MmaReply._from_object)
+
+    @staticmethod
+    def _from_object(obj: dict) -> "MmaReply":
         if "d" in obj:
             return MmaReply(id=int(obj["id"]), d=str(obj["d"]))
         err = obj.get("error") or {}
@@ -222,7 +238,17 @@ class _SessionBase:
                 raise UnsupportedError(reply.error_message)
             raise TransportError(
                 f"{reply.error_code}: {reply.error_message}")
-        return _from_hex(reply.d, fout)
+        try:
+            return _from_hex(reply.d, fout)
+        except ValueError as e:
+            raise TransportError(
+                f"bad {fout.name} result {reply.d!r}: {e}") from e
+
+
+# Entries a format's encode or decode memo holds; a full memo is cleared.
+# Probe vectors repeat a few hundred patterns at most, while random
+# operands never repeat, so a larger memo buys nothing but memory.
+_MEMO_BOUND = 1024
 
 
 def _to_hex(v: Value, fmt: FpFormat, what: str,
@@ -231,16 +257,43 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
 
     Without ``rm`` the value must be exact in ``fmt``; otherwise
     ``FormatContract`` names ``what``.  This and ``_from_hex`` are the only
-    places values cross to and from the wire form.
+    places values cross to and from the wire form.  Results are memoised
+    per format by the value's fields and ``rm``, never by the ``Dyadic``
+    itself (it hashes -0 equal to +0); enum members are keyed by their
+    plain string values, which hash cheaply.  Without ``rm`` only exact
+    results are stored, so an inexact value raises on every call.
     """
-    bits, flags = encode(v, fmt, rm or RoundingMode.RNE)
-    if rm is None and flags.inexact:
-        raise FormatContract(f"{what} not exact in {fmt.name}")
-    return bits_to_hex(bits, fmt)
+    mode = None if rm is None else rm._value_
+    key = ((v._value_, mode) if isinstance(v, Special)
+           else (v.sign, v.sig, v.exp, mode))
+    memo = fmt.encode_memo
+    text = memo.get(key)
+    if text is None:
+        bits, flags = encode(v, fmt, rm or RoundingMode.RNE)
+        if rm is None and flags.inexact:
+            raise FormatContract(f"{what} not exact in {fmt.name}")
+        text = bits_to_hex(bits, fmt)
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        memo[key] = text
+    return text
 
 
 def _from_hex(text: str, fmt: FpFormat) -> Value:
-    return decode(hex_to_bits(text, fmt), fmt)
+    """Value of a wire pattern, memoised per format by the exact text.
+
+    Only texts of the format's fixed width are stored, so a padded text
+    from a child cannot make a key of any size.
+    """
+    memo = fmt.decode_memo
+    v = memo.get(text)
+    if v is None:
+        v = decode(hex_to_bits(text, fmt), fmt)
+        if len(text) == fmt.hex_digits:
+            if len(memo) >= _MEMO_BOUND:
+                memo.clear()
+            memo[text] = v
+    return v
 
 
 def _vector_hex(vec: ProbeVector, fin: FpFormat, fout: FpFormat,
@@ -382,7 +435,7 @@ class ExecBackend(_SessionBase):
             try:
                 self.handshake = Handshake.from_json(
                     self._pipe.read_line(self.timeout))
-            except (ValueError, KeyError) as e:
+            except ValueError as e:
                 raise TransportError(f"bad handshake: {e}") from e
             if self.handshake.proto != PROTO_VERSION:
                 raise TransportError(
@@ -396,7 +449,7 @@ class ExecBackend(_SessionBase):
         line = self._pipe.read_line(self.timeout)
         try:
             reply = MmaReply.from_json(line)
-        except (ValueError, KeyError) as e:
+        except ValueError as e:
             raise TransportError(f"bad reply line {line!r}: {e}") from e
         if reply.id != req.id:
             raise TransportError(
@@ -459,7 +512,7 @@ def serve(cfg: BlockFmaConfig, stdin=None, stdout=None) -> int:
             continue
         try:
             req = MmaRequest.from_json(line)
-        except (ValueError, KeyError) as e:
+        except ValueError as e:
             out.write(MmaReply(0, error_code="BadRequest",
                                error_message=str(e)).to_json() + "\n")
             out.flush()

@@ -17,6 +17,7 @@ No floats are used anywhere; rounding is implemented on integers.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -369,6 +370,18 @@ class FpFormat:
         return Dyadic.make(1, (1 << self.precision) - 1,
                            self.emax - self.precision + 1)
 
+    # Memo tables of the wire codec (``backend._to_hex``/``_from_hex``).
+    # They belong to this object, so an equal or same-named format never
+    # shares entries, and they are not fields, so ``==`` ignores them.
+
+    @functools.cached_property
+    def encode_memo(self) -> dict:
+        return {}
+
+    @functools.cached_property
+    def decode_memo(self) -> dict:
+        return {}
+
     def __str__(self) -> str:
         return self.name
 
@@ -486,7 +499,8 @@ def hex_to_bits(text: str, fmt: FpFormat) -> int:
     s = text.strip().lower()
     if s.startswith("0x"):
         s = s[2:]
-    if len(s) != fmt.hex_digits:
+    # int() would also take "_", a sign and non-ASCII digits.
+    if len(s) != fmt.hex_digits or not (s.isascii() and s.isalnum()):
         raise ValueError(
             f"{fmt.name} patterns need {fmt.hex_digits} hex digits, "
             f"got {text!r}")

@@ -154,11 +154,13 @@ def exact_products(a: Sequence[Dyadic], b: Sequence[Dyadic],
     if len(a) != len(b):
         raise SizeContract("operand lists differ in length")
     strict = 2 * fin.precision <= fout.precision
+    p_in, emax = fin.precision, fin.emax
     out: list[Dyadic] = []
     for x, y in zip(a, b):
         for v in (x, y):
-            if not v.is_zero and (v.bit_count > fin.precision
-                                  or abs(v) > fin.max_finite):
+            # With at most p_in significand bits, a value is at most
+            # max_finite exactly when its leading bit is at most 2^emax.
+            if v.sig and (v.bit_count > p_in or v.floor_log2 > emax):
                 raise FormatContract(f"operand {v!r} not exact in {fin.name}")
         r = x * y
         if not strict and r.bit_count > fout.precision:

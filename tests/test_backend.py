@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 
 from mmaprobe.backend import (
     _MAX_LINE_BYTES,
+    _MEMO_BOUND,
     BackendError,
     ExecBackend,
     Handshake,
@@ -21,15 +23,22 @@ from mmaprobe.backend import (
     TransportError,
     UnsupportedError,
     embed_scalar_test,
+    _from_hex,
+    _to_hex,
     evaluate_tile,
     open_backend,
     serve,
 )
 from mmaprobe.formats import (
+    NAN,
+    NEG_INF,
+    NEG_ZERO,
     ONE,
+    POS_INF,
     REGISTRY,
     ZERO,
     Dyadic,
+    FpFormat,
     RoundingMode,
     bits_to_hex,
     decode,
@@ -40,7 +49,7 @@ from mmaprobe.formats import (
 from mmaprobe.inference import infer_features
 from mmaprobe.presets import load_config
 from mmaprobe.probes import ProbeVector, gen_ordering_probe
-from mmaprobe.simulator import BlockFmaConfig, mma_dot
+from mmaprobe.simulator import BlockFmaConfig, FormatContract, mma_dot
 
 B16 = REGISTRY["binary16"]
 B32 = REGISTRY["binary32"]
@@ -84,6 +93,27 @@ class TestWireFormat:
                            "c": "00000000"})
         with pytest.raises(ValueError):
             MmaRequest.from_json(line)
+
+    @pytest.mark.parametrize("parse", [
+        Handshake.from_json, MmaRequest.from_json, MmaReply.from_json])
+    @pytest.mark.parametrize("line", ["1", "null", "[1]", '"d"'])
+    def test_non_object_rejected(self, parse, line):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            parse(line)
+
+    @pytest.mark.parametrize("parse, line", [
+        (Handshake.from_json, '{"proto": 1, "pairs": 5, "kmax": 16}'),
+        (Handshake.from_json, '{"proto": [1], "pairs": [], "kmax": 16}'),
+        (Handshake.from_json, '{"pairs": [], "kmax": 16}'),
+        (MmaRequest.from_json, '{"id": 1, "fin": "binary16", '
+         '"fout": "binary32", "k": 0, "a": 1, "b": [], "c": "00000000"}'),
+        (MmaReply.from_json, '{"id": 1, "error": "boom"}'),
+        (MmaReply.from_json, '{"id": {}, "d": "00000000"}'),
+        (MmaReply.from_json, '{"d": "00000000"}'),
+    ])
+    def test_wrong_field_shape_rejected(self, parse, line):
+        with pytest.raises(ValueError, match="bad field"):
+            parse(line)
 
 
 class TestSimBackend:
@@ -162,6 +192,21 @@ class TestSimBackend:
         with pytest.raises(UnsupportedError):
             sess.run_vector(B16, B32, vec)
 
+    @pytest.mark.parametrize("d", ["zzzzzzzz", "5", "3f80", "3f80_000",
+                                   "+3f80000", "-3f80000", "3f8\u0660000"])
+    def test_bad_result_pattern_is_a_transport_failure(self, d):
+        class BadResult(SimBackend):
+            def evaluate(self, req):
+                return MmaReply(req.id, d=d)
+
+        sess = BadResult(BlockFmaConfig())
+        vec = ProbeVector("one", ZERO, ((ONE, ONE),))
+        for _ in range(2):  # a rejected text is never memoised
+            with pytest.raises(TransportError, match=re.escape(
+                    f"bad binary32 result {d!r}: ")):
+                sess.run_vector(B16, B32, vec)
+            assert d not in B32.decode_memo
+
     def test_evidence_log(self):
         sess = SimBackend(BlockFmaConfig())
         vec = ProbeVector("one", ZERO, ((ONE, ONE),))
@@ -197,6 +242,15 @@ class TestServeLoop:
     def test_malformed_line(self):
         _, [reply] = self.run_serve(["{not json"])
         assert not reply.ok and reply.error_code == "BadRequest"
+
+    def test_non_object_line_then_valid_request(self):
+        req = MmaRequest(id=3, fin="binary16", fout="binary32", k=1,
+                         a=(hx(ONE, B16),), b=(hx(ONE, B16),),
+                         c=hx(ZERO, B32))
+        _, [bad, good] = self.run_serve(["1", req.to_json()])
+        assert bad.error_code == "BadRequest"
+        assert bad.error_message == "not a JSON object"
+        assert good.id == 3 and good.d == hx(ONE, B32)
 
     def test_blank_lines_skipped(self):
         _, replies = self.run_serve(["", "  "])
@@ -333,6 +387,78 @@ class TestExecLoopback:
             open_backend("ftp:nope")
         with pytest.raises(FileNotFoundError):
             open_backend("sim:no_such_preset")
+
+
+class TestCodecMemo:
+    """The memoised wire codec answers exactly as the uncached one."""
+
+    @pytest.fixture
+    def b16(self):
+        # A fresh format object starts with empty memos.
+        return FpFormat("binary16", 11, 5, 16)
+
+    @pytest.mark.parametrize("order", [(ZERO, NEG_ZERO), (NEG_ZERO, ZERO)],
+                             ids=["plus-first", "minus-first"])
+    def test_zeros_keep_their_signs(self, b16, order):
+        texts = tuple("8000" if v.sign < 0 else "0000" for v in order)
+        for v, text in zip(order * 2, texts * 2):
+            assert _to_hex(v, b16, "zero") == text
+        for v, text in zip(order * 2, texts * 2):
+            got = _from_hex(text, b16)
+            assert got.is_zero and got.sign == v.sign
+
+    def test_specials(self, b16):
+        for v, text in [(NAN, "7e00"), (POS_INF, "7c00"), (NEG_INF, "fc00")]:
+            for _ in range(2):
+                assert _to_hex(v, b16, "special") == text
+                assert _from_hex(text, b16) is v
+
+    def test_inexact_operand_raises_for_each_caller(self, b16):
+        v = ONE + pow2(-20)
+        for what in ("operand of first", "operand of second"):
+            with pytest.raises(FormatContract) as e:
+                _to_hex(v, b16, what)
+            assert str(e.value) == f"{what} not exact in binary16"
+        assert _to_hex(v, b16, "rounded", RoundingMode.RNE) == "3c00"
+        with pytest.raises(FormatContract, match="operand of third"):
+            _to_hex(v, b16, "operand of third")
+
+    def test_mode_is_part_of_the_key(self, b16):
+        v = ONE + pow2(-11) + pow2(-12)  # three quarters of an ulp above 1
+        for _ in range(2):
+            assert _to_hex(v, b16, "d", RoundingMode.RNE) == "3c01"
+            assert _to_hex(v, b16, "d", RoundingMode.RZ) == "3c00"
+
+    def test_same_named_formats_do_not_share(self):
+        ftz = FpFormat("binary16", 11, 5, 16, subnormals=False)
+        tiny = B16.min_subnormal
+        assert _to_hex(tiny, B16, "tiny") == "0001"
+        assert _to_hex(tiny, ftz, "tiny", RoundingMode.RNE) == "0000"
+        with pytest.raises(FormatContract):
+            _to_hex(tiny, ftz, "tiny")
+        assert _from_hex("0001", B16) == tiny
+        assert _from_hex("0001", ftz) == ZERO
+
+    def test_memos_stay_within_the_bound(self):
+        b32 = FpFormat("binary32", 24, 8, 32)
+        peak = 0
+        for i in range(1, 3 * _MEMO_BOUND + 1):
+            v = Dyadic.from_int(i)
+            text = _to_hex(v, b32, "n")
+            assert text == hx(v, B32)
+            assert _from_hex(text, b32) == v
+            peak = max(peak, len(b32.encode_memo), len(b32.decode_memo))
+        assert peak == _MEMO_BOUND
+
+    def test_only_valid_fixed_width_texts_are_memoised(self, b16):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                _from_hex("zzzz", b16)
+            assert _from_hex(" " * 1000 + "3C00", b16) == ONE
+            assert _from_hex("0x3c00", b16) == ONE
+        assert b16.decode_memo == {}
+        assert _from_hex("3C00", b16) == ONE
+        assert list(b16.decode_memo) == ["3C00"]
 
 
 class TestEmbedding:

@@ -229,6 +229,13 @@ class TestBackendFailures:
                              "--in", "binary16", "--out", "binary32")
         assert (code, out, err) == (1, "", "error: no reply within 0.5s\n")
 
+    def test_non_object_handshake(self, capsys):
+        child = f'exec:{sys.executable} -c "print(1)"'
+        code, out, err = run(capsys, "probe", "--backend", child,
+                             "--in", "binary16", "--out", "binary32")
+        assert (code, out) == (1, "")
+        assert err == "error: bad handshake: not a JSON object\n"
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_missing_harness(self, capsys, command):
         code, out, err = run(capsys, *self.COMMANDS[command],
@@ -241,7 +248,15 @@ class TestBackendFailures:
         ("'not json'", "aborted: bad reply line 'not json': "),
         ("json.dumps({'id': json.loads(line)['id'] + 1, 'd': '00000000'})",
          "aborted: reply id 2 does not match request 1"),
-    ], ids=["garbage", "wrong-id"])
+        ("1", "aborted: bad reply line '1': not a JSON object"),
+        ("'null'", "aborted: bad reply line 'null': not a JSON object"),
+        ("[1]", "aborted: bad reply line '[1]': not a JSON object"),
+    ] + [
+        (f"json.dumps({{'id': json.loads(line)['id'], 'd': {d!r}}})",
+         f"aborted: bad binary32 result {d!r}: ")
+        for d in ("zzzzzzzz", "5", "3f80")
+    ], ids=["garbage", "wrong-id", "int", "null", "list",
+            "d-not-hex", "d-short", "d-half"])
     def test_bad_replies_give_incomplete_report(self, capsys, tmp_path,
                                                 reply, note):
         code, out, _ = run(capsys, "probe",

@@ -77,6 +77,18 @@ class TestExactProducts:
         with pytest.raises(SizeContract):
             exact_products([ONE], [], B16, B32)
 
+    @pytest.mark.parametrize("fin", ["binary16", "bfloat16"])
+    def test_range_edge(self, fin):
+        fmt = REGISTRY[fin]
+        for v in (fmt.max_finite, -fmt.max_finite, pow2(fmt.emax)):
+            assert exact_products([v], [ONE], fmt, B32) == [v]
+            assert exact_products([ONE], [v], fmt, B32) == [v]
+        for v in (pow2(fmt.emax + 1), -pow2(fmt.emax + 1)):
+            with pytest.raises(FormatContract, match="not exact in " + fin):
+                exact_products([v], [ONE], fmt, B32)
+            with pytest.raises(FormatContract, match="not exact in " + fin):
+                exact_products([ONE], [v], fmt, B32)
+
 
 class TestBlockFma:
     def test_tiny_product_truncated(self):
