@@ -315,11 +315,7 @@ def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
     a = [_from_hex(h, fin) for h in a_hex]
     b = [_from_hex(h, fin) for h in b_hex]
     c = _from_hex(c_hex, fout)
-    finite_pairs = [(x, y) for x, y in zip(a, b)
-                    if not isinstance(x, Special)
-                    and not isinstance(y, Special)]
-    exact_products([x for x, _ in finite_pairs],
-                   [y for _, y in finite_pairs], fin, fout)
+    exact_products(a, b, fin, fout)
     d = mma_dot(c, a, b, cfg, fout)
     return _to_hex(d, fout, "result", cfg.rm_intra)
 

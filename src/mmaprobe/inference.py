@@ -161,7 +161,11 @@ def infer_features(session, fin_name: str, fout_name: str,
     start = len(session.log)
     try:
         for name, stage in _STAGES:
-            setattr(report, name, stage(state))
+            try:
+                field = stage(state)
+            except UnsupportedError as e:
+                field = Field.undetermined(str(e))
+            setattr(report, name, field)
         undet = sum(1 for f in report.field_map().values()
                     if not f.determinate)
         if undet:
@@ -211,12 +215,7 @@ def _ordering(s: _State) -> Field:
         return Field.undetermined(
             "width 1: cannot exclude a wider per-addition-rounding "
             "unit, whose one-block folds mimic first-anchored combining")
-    if 2 * s.width > s.session.handshake.kmax:
-        return Field.undetermined("backend cannot take k = 2*width")
-    try:
-        return s.field(gen_ordering_probe(s.fin, s.fout, s.width, s.opts.j))
-    except UnsupportedError as e:
-        return Field.undetermined(str(e))
+    return s.field(gen_ordering_probe(s.fin, s.fout, s.width, s.opts.j))
 
 
 def _carry_headroom(s: _State) -> Field:
@@ -353,14 +352,11 @@ def _rm_mbfma(s: _State) -> Field:
     if width is None or s.ordering is None:
         return Field.undetermined("needs a known width and ordering")
     eab = s.report.n_eab
-    try:
-        return s.field(gen_rm_mbfma_probe(
-            s.fin, s.fout, width, j=s.opts.j,
-            # the half-ulp survives the combine alignment
-            n_eab=1 if eab.determinate and (eab.value or 0) >= 1 else None,
-            live_position=1 if s.ordering == "CWithLast" else width + 1))
-    except UnsupportedError as e:
-        return Field.undetermined(str(e))
+    return s.field(gen_rm_mbfma_probe(
+        s.fin, s.fout, width, j=s.opts.j,
+        # the half-ulp survives the combine alignment
+        n_eab=1 if eab.determinate and (eab.value or 0) >= 1 else None,
+        live_position=1 if s.ordering == "CWithLast" else width + 1))
 
 
 # The inference pipeline: (report field, stage) in run order.  A stage

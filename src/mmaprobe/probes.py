@@ -457,6 +457,8 @@ def gen_ordering_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
     product and at most three extra alignment bits (the survivor must be
     truncated whenever it aligns against a unit exponent).
     """
+    if n_fma < 1:
+        raise ValueError("n_fma must be >= 1")
     p = fout.precision
     tiny = pow2(-p - 3 + j)
     unit = pow2(j)

@@ -66,12 +66,9 @@ class AlignmentPolicy(enum.Enum):
 
     @property
     def rounding(self) -> RoundingMode:
-        return {
-            AlignmentPolicy.TRUNCATE_BITS: RoundingMode.TRUNCATE,
-            AlignmentPolicy.RNE: RoundingMode.RNE,
-            AlignmentPolicy.RU: RoundingMode.RU,
-            AlignmentPolicy.RD: RoundingMode.RD,
-        }[self]
+        if self is AlignmentPolicy.TRUNCATE_BITS:
+            return RoundingMode.TRUNCATE
+        return RoundingMode(self.value)
 
 
 class NormPolicy(enum.Enum):
@@ -142,33 +139,26 @@ def max_detectable_carry_bits(k: int, p_in: int) -> int:
     return num.bit_length() - 1 - (p_in - 1)
 
 
-def exact_products(a: Sequence[Dyadic], b: Sequence[Dyadic],
-                   fin: FpFormat, fout: FpFormat) -> list[Dyadic]:
-    """Element-wise exact products, validated against the format contract.
+def exact_products(a: Sequence[Value], b: Sequence[Value],
+                   fin: FpFormat, fout: FpFormat) -> None:
+    """Reject a finite product that needs more than ``p_out`` bits.
 
-    Operands must be exactly representable in ``fin``.  The model assumes
-    products never need rounding; ``2*p_in <= p_out`` guarantees that, and
-    narrower output formats are accepted only if every actual product still
-    fits ``p_out`` bits.
+    The model assumes products never need rounding.  ``2*p_in <= p_out``
+    guarantees that, so such a pair returns at once; a narrower output
+    format is accepted only if every finite product still fits ``p_out``
+    bits.  Operands come from ``decode``, so each is already exact in
+    ``fin``; ``Special`` operands are skipped.
     """
-    if len(a) != len(b):
-        raise SizeContract("operand lists differ in length")
-    strict = 2 * fin.precision <= fout.precision
-    p_in, emax = fin.precision, fin.emax
-    out: list[Dyadic] = []
+    if 2 * fin.precision <= fout.precision:
+        return
     for x, y in zip(a, b):
-        for v in (x, y):
-            # With at most p_in significand bits, a value is at most
-            # max_finite exactly when its leading bit is at most 2^emax.
-            if v.sig and (v.bit_count > p_in or v.floor_log2 > emax):
-                raise FormatContract(f"operand {v!r} not exact in {fin.name}")
+        if isinstance(x, Special) or isinstance(y, Special):
+            continue
         r = x * y
-        if not strict and r.bit_count > fout.precision:
+        if r.bit_count > fout.precision:
             raise FormatContract(
                 f"product {r!r} needs more than {fout.precision} bits and "
                 f"2*p_in > p_out for {fin.name}->{fout.name}")
-        out.append(r)
-    return out
 
 
 def exact_oracle(c: Dyadic, a: Sequence[Dyadic],

@@ -177,6 +177,17 @@ class TestSimBackend:
         assert reply.error_message.startswith(
             "product 65025*2^-14 needs more than 11 bits")
 
+    def test_special_operand_beside_wide_product_is_unsupported(self):
+        # A NaN pair is skipped, the 3fff x 3fff product is still refused.
+        sess = SimBackend(BlockFmaConfig())
+        req = MmaRequest(id=1, fin="bfloat16", fout="binary16", k=2,
+                         a=("7fc0", "3fff"), b=("3f80", "3fff"), c="0000")
+        reply = sess.evaluate(req)
+        assert reply.error_code == "Unsupported"
+        assert reply.error_message == (
+            "product 65025*2^-14 needs more than 11 bits and 2*p_in > p_out "
+            "for bfloat16->binary16")
+
     def test_short_pattern_is_bad_request(self):
         sess = SimBackend(BlockFmaConfig())
         req = MmaRequest(id=1, fin="binary16", fout="binary32", k=1,

@@ -80,6 +80,13 @@ class TestProbeCommand:
         assert code == 64
         assert err.startswith("error: ") and out == ""
 
+    def test_small_gap_seed_params_usage_error(self, capsys):
+        code, out, err = run(capsys, "probe", "--backend", AMPERE,
+                             "--in", "binary16", "--out", "binary32",
+                             "--seed-params", "0,2")
+        assert code == 64 and out == ""
+        assert "error: argument --seed-params: t must be >= 3" in err
+
 
 class TestEvalCommand:
     def test_two_plus_tiny_truncates(self, capsys):
@@ -154,6 +161,36 @@ class TestGenVectors:
                              "--j", "100")
         assert code == 64
         assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("args,probe,why", [
+        (("--probe", "post_alignment", "--n-eab", "2"), "post_alignment",
+         "post-alignment probe handles n_eab in {0, 1} only"),
+        (("--probe", "all", "--n-eab", "2", "--fma-width", "4"),
+         "post_alignment", "post-alignment probe handles n_eab in {0, 1} only"),
+        (("--probe", "alignment_bits", "--n", "0"), "alignment_bits",
+         "n must be >= 1"),
+        (("--probe", "all", "--n", "0"), "alignment_bits", "n must be >= 1"),
+        (("--probe", "algorithm1", "--k", "1"), "algorithm1",
+         "k must be >= 2"),
+        (("--probe", "normalisation", "--t", "2"), "normalisation",
+         "t must be >= 3"),
+        (("--probe", "rm_mbfma", "--fma-width", "0"), "rm_mbfma",
+         "n_fma must be >= 1"),
+        (("--probe", "ordering", "--fma-width", "0"), "ordering",
+         "n_fma must be >= 1"),
+    ], ids=["post_alignment-n_eab2", "all-n_eab2", "alignment_bits-n0",
+            "all-n0", "algorithm1-k1", "normalisation-t2", "rm_mbfma-width0",
+            "ordering-width0"])
+    def test_bad_probe_parameter(self, capsys, args, probe, why):
+        code, out, err = run(capsys, "gen-vectors", "--in", "binary16",
+                             "--out", "binary32", *args)
+        if args[1] != "all":
+            assert (code, out, err) == (64, "", f"error: {why}\n")
+            return
+        assert code == 0
+        skipped = {r["probe"]: r["skipped"]
+                   for r in json.loads(out)["records"] if "skipped" in r}
+        assert skipped[probe] == why
 
     def test_rounded_vector_is_not_exported(self, capsys):
         # The carry[k=9] addend needs 12 significand bits; binary16 has 11.

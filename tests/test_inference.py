@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from mmaprobe import inference
-from mmaprobe.backend import ExecBackend, SimBackend
-from mmaprobe.formats import ONE, RoundingMode, pow2
+from mmaprobe.backend import ExecBackend, MmaReply, SimBackend, _vector_hex
+from mmaprobe.formats import ONE, REGISTRY, RoundingMode, pow2
 from mmaprobe.inference import (
     QUAL_AT_LEAST,
     QUAL_EXACT,
@@ -20,7 +20,7 @@ from mmaprobe.inference import (
     render_report,
 )
 from mmaprobe.presets import load_config
-from mmaprobe.probes import ProbeVector
+from mmaprobe.probes import ProbeVector, gen_subnormal_probes
 from mmaprobe.selftest import GridCase, soundness_problems
 from mmaprobe.simulator import (
     BlockFmaConfig,
@@ -213,6 +213,32 @@ class TestReportInvariants:
         rep = infer(BlockFmaConfig(fma_width=4, n_eab=2, n_ecb=2))
         f = rep.field_map()
         assert f["n_eab"].value < f["fma_width"].value
+
+
+class TestUnsupportedReply:
+    def test_leaves_only_its_own_field_undetermined(self):
+        cfg = load_config("ampere")
+        fin, fout = REGISTRY["binary16"], REGISTRY["binary32"]
+        [vec] = gen_subnormal_probes(fin, fout)[0].vectors
+        refused = _vector_hex(vec, fin, fout)
+
+        class NoSubnormalIn(SimBackend):
+            # Refuses the subnormal-in request, as a device may refuse a
+            # subnormal operand.
+            def evaluate(self, req):
+                if (req.a, req.b, req.c) == refused:
+                    return MmaReply(req.id, error_code="Unsupported",
+                                    error_message="no subnormal operands")
+                return super().evaluate(req)
+
+        rep = infer_features(NoSubnormalIn(cfg), "binary16", "binary32")
+        plain = infer(cfg).field_map()
+        assert rep.complete
+        assert rep.subnormal_in == Field.undetermined("no subnormal operands")
+        assert plain["subnormal_in"].determinate
+        f = rep.field_map()
+        del f["subnormal_in"], plain["subnormal_in"]
+        assert f == plain
 
 
 class TestDeterminism:
