@@ -58,6 +58,7 @@ __all__ = [
     "TransportError",
     "UnsupportedError",
     "BackendTimeout",
+    "InternalError",
     "Handshake",
     "MmaRequest",
     "MmaReply",
@@ -86,6 +87,10 @@ class UnsupportedError(BackendError):
 
 class BackendTimeout(BackendError):
     """No reply within the configured per-request timeout."""
+
+
+class InternalError(BackendError):
+    """The backend answered one request with an ``Internal`` error."""
 
 
 def _parse_object(line: str, build):
@@ -236,8 +241,9 @@ class _SessionBase:
         if not reply.ok:
             if reply.error_code == "Unsupported":
                 raise UnsupportedError(reply.error_message)
-            raise TransportError(
-                f"{reply.error_code}: {reply.error_message}")
+            error = (InternalError if reply.error_code == "Internal"
+                     else TransportError)
+            raise error(f"{reply.error_code}: {reply.error_message}")
         try:
             return _from_hex(reply.d, fout)
         except ValueError as e:
@@ -298,11 +304,21 @@ def _from_hex(text: str, fmt: FpFormat) -> Value:
 
 def _vector_hex(vec: ProbeVector, fin: FpFormat, fout: FpFormat,
                 ) -> tuple[tuple[str, ...], tuple[str, ...], str]:
-    """Exact wire form of a probe vector: (a operands, b operands, addend)."""
-    what = f"operand of {vec.label}"
-    return (tuple(_to_hex(a, fin, what) for a, _ in vec.pairs),
-            tuple(_to_hex(b, fin, what) for _, b in vec.pairs),
-            _to_hex(vec.c, fout, f"addend of {vec.label}"))
+    """Exact wire form of a probe vector: (a operands, b operands, addend).
+
+    Kept on the vector per format pair, keyed by the format objects, so a
+    memoised probe's vector is encoded once; an inexact vector stores
+    nothing and raises ``FormatContract`` on every call.
+    """
+    key = (fin, fout)
+    wire = vec.wire.get(key)
+    if wire is None:
+        what = f"operand of {vec.label}"
+        wire = (tuple(_to_hex(a, fin, what) for a, _ in vec.pairs),
+                tuple(_to_hex(b, fin, what) for _, b in vec.pairs),
+                _to_hex(vec.c, fout, f"addend of {vec.label}"))
+        vec.wire[key] = wire
+    return wire
 
 
 def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,

@@ -276,6 +276,13 @@ def _seed_params(text: str) -> tuple[int, int]:
     return j, t
 
 
+def _kmax(text: str) -> int:
+    k = int(text)
+    if k < 2:
+        raise argparse.ArgumentTypeError("must be >= 2")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="mmaprobe",
                   description="Probe numerical features of "
@@ -303,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_formats(p)
     p.add_argument("--report", choices=("table", "structured"),
                    default="table")
-    p.add_argument("--kmax", type=int, default=64)
+    p.add_argument("--kmax", type=_kmax, default=64,
+                   help="largest shared dimension the width scan tries")
     p.add_argument("--seed-params", type=_seed_params, default=(0, 3),
                    metavar="j,t", help="scale exponent and gap parameter")
     p.add_argument("--stamp", action="store_true",

@@ -35,7 +35,7 @@ from .probes import (
     gen_subnormal_probes,
     run_algorithm1,
 )
-from .backend import BackendError, UnsupportedError
+from .backend import BackendError, InternalError, UnsupportedError
 from .simulator import FormatContract
 
 __all__ = [
@@ -163,7 +163,7 @@ def infer_features(session, fin_name: str, fout_name: str,
         for name, stage in _STAGES:
             try:
                 field = stage(state)
-            except UnsupportedError as e:
+            except (UnsupportedError, InternalError) as e:
                 field = Field.undetermined(str(e))
             setattr(report, name, field)
         undet = sum(1 for f in report.field_map().values()

@@ -10,11 +10,17 @@ sign-asymmetric.
 
 A classifier never guesses: observations matching no row yield an
 undetermined ``Field`` with the reason.
+
+Vectors never depend on the unit under test, so every builder is
+memoised per argument set and its results are shared, immutable values:
+never change a ``Probe`` or ``ProbeVector`` in place.  A builder that
+raises raises again on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .formats import (
@@ -54,6 +60,14 @@ __all__ = [
 QUAL_EXACT = "="
 QUAL_AT_LEAST = ">="
 QUAL_UNDETERMINED = "?"
+
+# Argument sets each memoised builder keeps.  One pass over the whole
+# selftest grid plus the benchmark's soundness slice reaches at most 68
+# per builder (``gen_rm_mbfma_probe``) and 56 for the width scan's per-k
+# step, so the bound holds every set the pipeline uses and caps what a
+# long ``probe --kmax`` scan can keep alive.
+_PROBE_MEMO = 256
+_memoised = functools.lru_cache(maxsize=_PROBE_MEMO)
 
 
 @dataclass
@@ -101,11 +115,16 @@ class NotFactorable(ValueError):
 
 @dataclass(frozen=True)
 class ProbeVector:
-    """One scalar MMA test: accumulator input plus product operand pairs."""
+    """One scalar MMA test: accumulator input plus product operand pairs.
+
+    ``wire`` keeps the wire form per format pair for ``backend._vector_hex``.
+    """
 
     label: str
     c: Dyadic
     pairs: tuple[tuple[Dyadic, Dyadic], ...]
+    wire: dict = field(default_factory=dict, init=False, compare=False,
+                       hash=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -193,6 +212,7 @@ def _rounding_probe(feature: str, pos: ProbeVector, lo: Dyadic,
 # -- subnormal support -------------------------------------------------
 
 
+@_memoised
 def gen_subnormal_probes(fin: FpFormat, fout: FpFormat) -> tuple[Probe, Probe]:
     """Input-side and output-side subnormal support tests.
 
@@ -236,6 +256,7 @@ def gen_subnormal_probes(fin: FpFormat, fout: FpFormat) -> tuple[Probe, Probe]:
 # -- rounding applied to each addend during significand alignment ------
 
 
+@_memoised
 def gen_post_alignment_rounding_probe(fin: FpFormat, fout: FpFormat,
                                       n_eab: int, j: int = 0) -> Probe:
     """Detect how bits shifted past the alignment boundary are reduced.
@@ -259,6 +280,7 @@ def gen_post_alignment_rounding_probe(fin: FpFormat, fout: FpFormat,
 # -- final rounding of one block (RM-BFMA) -----------------------------
 
 
+@_memoised
 def gen_rm_bfma_probe(fin: FpFormat, fout: FpFormat, j: int = 0) -> Probe:
     """Detect the rounding mode of a block's single final conversion.
 
@@ -279,6 +301,7 @@ def gen_rm_bfma_probe(fin: FpFormat, fout: FpFormat, j: int = 0) -> Probe:
 # -- extra alignment bits ----------------------------------------------
 
 
+@_memoised
 def gen_alignment_bits_probe(fin: FpFormat, fout: FpFormat,
                              n: int, j: int = 0) -> Probe:
     """Ladder test for at least ``n`` extra alignment bits.
@@ -318,6 +341,7 @@ def gen_alignment_bits_probe(fin: FpFormat, fout: FpFormat,
     )
 
 
+@_memoised
 def gen_alignment_cancel_probe(fin: FpFormat, fout: FpFormat,
                                n: int, j: int = 0) -> Probe:
     """Cancellation cross-check for alignment depth ``n``.
@@ -353,6 +377,7 @@ def gen_alignment_cancel_probe(fin: FpFormat, fout: FpFormat,
 # -- normalisation timing ----------------------------------------------
 
 
+@_memoised
 def gen_normalisation_probe(fin: FpFormat, fout: FpFormat, case: str,
                             t: int = 3) -> Probe:
     """Immediate-versus-deferred normalisation test.
@@ -408,6 +433,7 @@ def gen_normalisation_probe(fin: FpFormat, fout: FpFormat, case: str,
 # -- rounding when block results combine (RM-MBFMA) --------------------
 
 
+@_memoised
 def gen_rm_mbfma_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
                        j: int = 0, n_eab: Optional[int] = None,
                        live_position: Optional[int] = None) -> Probe:
@@ -446,6 +472,7 @@ def gen_rm_mbfma_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
 # -- combine ordering ---------------------------------------------------
 
 
+@_memoised
 def gen_ordering_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
                        j: int = 0) -> Probe:
     """Identify which partial sum the accumulator input joins first.
@@ -487,7 +514,7 @@ def gen_ordering_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
 
 
 def width_test_vectors(k: int, fin: FpFormat,
-                       fout: FpFormat) -> list[ProbeVector]:
+                       fout: FpFormat) -> tuple[ProbeVector, ...]:
     """Boundary-detection vectors for shared dimension ``k``.
 
     Three families, each issued in both polarities, all with the same
@@ -517,7 +544,6 @@ def width_test_vectors(k: int, fin: FpFormat,
     fine_pair = factor_into_operands(fine, fin)
     neg_fine_pair = factor_into_operands(-fine, fin)
     c = ONE + fine
-    out = []
     head = ProbeVector(f"width-head[k={k}]", c,
                        _padded({1: unit_pair, k: fine_pair}, k))
     tail = ProbeVector(f"width-tail[k={k}]", c,
@@ -526,9 +552,9 @@ def width_test_vectors(k: int, fin: FpFormat,
                               _padded({1: unit_pair, k: neg_fine_pair}, k))
     tail_cancel = ProbeVector(f"width-tail-cancel[k={k}]", c,
                               _padded({1: neg_fine_pair, k: unit_pair}, k))
-    out += [head, head.negated(), tail, tail.negated(),
-            head_cancel, head_cancel.negated(),
-            tail_cancel, tail_cancel.negated()]
+    out = (head, head.negated(), tail, tail.negated(),
+           head_cancel, head_cancel.negated(),
+           tail_cancel, tail_cancel.negated())
     if k >= 4:
         straddle = ProbeVector(
             f"width-straddle[k={k}]", ZERO,
@@ -538,8 +564,8 @@ def width_test_vectors(k: int, fin: FpFormat,
             f"width-straddle-cancel[k={k}]", ZERO,
             _padded({1: unit_pair, 2: fine_pair,
                      k - 1: unit_pair, k: neg_fine_pair}, k))
-        out += [straddle, straddle.negated(),
-                straddle_cancel, straddle_cancel.negated()]
+        out += (straddle, straddle.negated(),
+                straddle_cancel, straddle_cancel.negated())
     return out
 
 
@@ -573,6 +599,18 @@ def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
     return ProbeVector(f"carry[k={k}]", c, _padded(live, k))
 
 
+@_memoised
+def _scan_step(k: int, fin: FpFormat, fout: FpFormat,
+               ) -> tuple[tuple[tuple[ProbeVector, Dyadic], ...],
+                          ProbeVector, Dyadic]:
+    """One ``k`` of the width scan: each width vector with its exact
+    magnitude, then the carry vector and its exact sum."""
+    width = tuple((vec, abs(width_test_expected(vec)))
+                  for vec in width_test_vectors(k, fin, fout))
+    cvec = carry_test_vector(k, fin, fout)
+    return width, cvec, width_test_expected(cvec)
+
+
 @dataclass
 class Algorithm1Result:
     """What the iterative width / carry-bit search observed."""
@@ -599,7 +637,8 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     block splits that the head vectors cannot see when the accumulator
     input joins a different partial sum.  The carry test is sent only
     while its accumulator input is exact in ``fout``; the first ``k``
-    where it is not is recorded as ``carry_skipped_at``.
+    where it is not is recorded as ``carry_skipped_at``.  Each ``k``'s
+    vectors and exact sums are built once per format pair (``_scan_step``).
 
     ``evaluate`` receives a vector and must return the device output;
     ``k_max`` exhaustion without a mismatch leaves ``n_fma`` at None
@@ -610,11 +649,11 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     n_ecb = 0
     skipped_at: Optional[int] = None
     for k in range(2, k_max + 1):
+        width, cvec, carry_sum = _scan_step(k, fin, fout)
         mismatched = []
-        for vec in width_test_vectors(k, fin, fout):
+        for vec, magnitude in width:
             d = evaluate(vec)
-            expected = width_test_expected(vec)
-            if isinstance(d, Special) or abs(d) != abs(expected):
+            if isinstance(d, Special) or abs(d) != magnitude:
                 mismatched.append(vec.label)
         if mismatched:
             return Algorithm1Result(
@@ -623,9 +662,8 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
                                   for l in mismatched),
                 carry_skipped_at=skipped_at)
         if skipped_at is None:
-            cvec = carry_test_vector(k, fin, fout)
             if cvec.c.bit_count > fout.precision:
                 skipped_at = k
-            elif evaluate(cvec) == width_test_expected(cvec):
+            elif evaluate(cvec) == carry_sum:
                 n_ecb = max_detectable_carry_bits(k, fin.precision)
     return Algorithm1Result(None, n_ecb, carry_skipped_at=skipped_at)

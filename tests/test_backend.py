@@ -1,5 +1,6 @@
 """Backend protocol, sessions, and scalar-to-matrix embedding tests."""
 
+import gc
 import io
 import json
 import os
@@ -8,9 +9,11 @@ import re
 import signal
 import sys
 import time
+import weakref
 
 import pytest
 
+from mmaprobe import backend
 from mmaprobe.backend import (
     _MAX_LINE_BYTES,
     _MEMO_BOUND,
@@ -25,6 +28,7 @@ from mmaprobe.backend import (
     embed_scalar_test,
     _from_hex,
     _to_hex,
+    _vector_hex,
     evaluate_tile,
     open_backend,
     serve,
@@ -470,6 +474,58 @@ class TestCodecMemo:
         assert b16.decode_memo == {}
         assert _from_hex("3C00", b16) == ONE
         assert list(b16.decode_memo) == ["3C00"]
+
+
+class TestVectorWire:
+    """A probe vector keeps its wire form per format pair."""
+
+    def test_filled_once_per_format_pair(self, monkeypatch):
+        vec = ProbeVector("one-addend", ONE, ((ONE, ONE),))
+        b32 = _vector_hex(vec, B16, B32)
+        b16 = _vector_hex(vec, B16, B16)
+        assert b32 == (("3c00",), ("3c00",), "3f800000")
+        assert b16 == (("3c00",), ("3c00",), "3c00")
+        assert vec.wire == {(B16, B32): b32, (B16, B16): b16}
+
+        def no_codec(*args):
+            raise AssertionError("wire form encoded twice")
+
+        monkeypatch.setattr(backend, "_to_hex", no_codec)
+        assert _vector_hex(vec, B16, B32) is b32
+        assert _vector_hex(vec, B16, B16) is b16
+
+    def test_keyed_by_format_object_not_name(self):
+        ftz = FpFormat("binary16", 11, 5, 16, subnormals=False)
+        vec = ProbeVector("tiny", ZERO, ((B16.min_subnormal, ONE),))
+        assert _vector_hex(vec, B16, B32)[0] == ("0001",)
+        with pytest.raises(FormatContract,
+                           match="operand of tiny not exact in binary16"):
+            _vector_hex(vec, ftz, B32)
+        assert list(vec.wire) == [(B16, B32)]
+
+    def test_inexact_vector_raises_every_call_and_stores_nothing(self):
+        vec = ProbeVector("fine", ONE + pow2(-24), ((ONE, ONE),))
+        for _ in range(2):
+            with pytest.raises(FormatContract,
+                               match="addend of fine not exact in binary32"):
+                _vector_hex(vec, B16, B32)
+        assert vec.wire == {}
+
+    def test_wire_form_is_not_part_of_the_value(self):
+        vec = ProbeVector("one", ZERO, ((ONE, ONE),))
+        twin = ProbeVector("one", ZERO, ((ONE, ONE),))
+        _vector_hex(vec, B16, B32)
+        assert vec == twin and hash(vec) == hash(twin)
+        assert "wire" not in repr(vec)
+
+    def test_one_off_vector_is_freed(self):
+        sess = SimBackend(BlockFmaConfig())
+        vec = ProbeVector("one-off", ONE, ((ONE, ONE),))
+        assert sess.run_vector(B16, B32, vec) == Dyadic.from_int(2)
+        ref = weakref.ref(vec)
+        del vec
+        gc.collect()
+        assert ref() is None
 
 
 class TestEmbedding:

@@ -87,6 +87,15 @@ class TestProbeCommand:
         assert code == 64 and out == ""
         assert "error: argument --seed-params: t must be >= 3" in err
 
+    @pytest.mark.parametrize("kmax", ["-5", "0", "1"])
+    def test_kmax_below_two_usage_error(self, capsys, kmax):
+        # Rejected while parsing: no backend is opened, no request sent.
+        code, out, err = run(capsys, "probe", "--backend", "exec:false",
+                             "--in", "binary16", "--out", "binary32",
+                             "--kmax", kmax)
+        assert code == 64 and out == ""
+        assert err.endswith("error: argument --kmax: must be >= 2\n")
+
 
 class TestEvalCommand:
     def test_two_plus_tiny_truncates(self, capsys):

@@ -2,11 +2,13 @@
 
 import dataclasses
 import sys
+from pathlib import Path
 
 import pytest
 
-from mmaprobe import inference
+from mmaprobe import inference, probes
 from mmaprobe.backend import ExecBackend, MmaReply, SimBackend, _vector_hex
+from mmaprobe.cli import main
 from mmaprobe.formats import ONE, REGISTRY, RoundingMode, pow2
 from mmaprobe.inference import (
     QUAL_AT_LEAST,
@@ -20,8 +22,12 @@ from mmaprobe.inference import (
     render_report,
 )
 from mmaprobe.presets import load_config
-from mmaprobe.probes import ProbeVector, gen_subnormal_probes
-from mmaprobe.selftest import GridCase, soundness_problems
+from mmaprobe.probes import (
+    ProbeVector,
+    gen_subnormal_probes,
+    width_test_vectors,
+)
+from mmaprobe.selftest import GOLDEN_PRESETS, GridCase, soundness_problems
 from mmaprobe.simulator import (
     BlockFmaConfig,
     CarryOverflow,
@@ -31,6 +37,7 @@ from mmaprobe.simulator import (
 )
 
 RM = RoundingMode
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def infer(cfg, fin="binary16", fout="binary32", **opts):
@@ -241,6 +248,21 @@ class TestUnsupportedReply:
         assert f == plain
 
 
+class TestInternalReply:
+    def test_leaves_only_its_own_field_undetermined(self):
+        # Eight products overflow a one-carry-bit unit that refuses to
+        # wrap; the width stage loses its field, the report goes on.
+        case = GridCase(BlockFmaConfig(fma_width=8, n_ecb=1,
+                                       carry_overflow=CarryOverflow.ERROR),
+                        "binary16", "binary32")
+        rep = infer(case.cfg)
+        assert rep.complete
+        assert rep.fma_width == Field.undetermined(
+            "Internal: accumulated magnitude needs more than 1 carry bits")
+        assert rep.subnormal_in.determinate and rep.subnormal_out.determinate
+        assert soundness_problems(case, rep) == []
+
+
 class TestDeterminism:
     def test_identical_runs_identical_reports(self):
         cfg = load_config("ampere")
@@ -258,18 +280,80 @@ class TestDeterminism:
         assert '"d":' in entry["reply"]
 
 
+def _cold_caches():
+    """Drop every memoised probe and the registry formats' codec memos."""
+    for obj in vars(probes).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    for fmt in REGISTRY.values():
+        fmt.encode_memo.clear()
+        fmt.decode_memo.clear()
+
+
+class TestWarmCaches:
+    """Shared probes and their kept wire forms change no output."""
+
+    def test_reports_equal_cold_and_warm(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import soundness_slice
+
+        jobs = [(load_config(preset), fin, fout)
+                for preset, fin, fout in GOLDEN_PRESETS]
+        jobs += [(case.cfg, case.fin, case.fout) for case in soundness_slice()]
+        assert len(jobs) == len(GOLDEN_PRESETS) + 48
+
+        def texts():
+            return [infer_features(SimBackend(cfg), fin, fout).to_json()
+                    for cfg, fin, fout in jobs]
+
+        _cold_caches()
+        cold = texts()
+        assert texts() == cold
+
+    def test_gen_vectors_equal_cold_and_warm(self, capsys):
+        argv = ["gen-vectors", "--in", "binary16", "--out", "binary32",
+                "--probe", "all", "--fma-width", "8"]
+        _cold_caches()
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+
+
 class TestEvidence:
-    def test_aborted_report_keeps_the_failing_exchange(self, tmp_path):
+    def test_aborted_report_keeps_the_failing_exchange(self):
+        # A BadRequest reply ends the report; its exchange is kept.
+        fin, fout = REGISTRY["binary16"], REGISTRY["binary32"]
+        refused = _vector_hex(width_test_vectors(2, fin, fout)[0], fin, fout)
+
+        class RejectsWidthHead(SimBackend):
+            def evaluate(self, req):
+                if (req.a, req.b, req.c) == refused:
+                    return MmaReply(req.id, error_code="BadRequest",
+                                    error_message="operand widths")
+                return super().evaluate(req)
+
+        session = RejectsWidthHead(load_config("ampere"))
+        rep = infer_features(session, "binary16", "binary32")
+        assert not rep.complete
+        assert rep.notes == ["aborted: BadRequest: operand widths"]
+        assert rep.evidence == [
+            {"label": e.label, "request": e.request, "reply": e.reply}
+            for e in session.log]
+        assert rep.evidence[-1]["label"] == "width-head[k=2]"
+        assert '"code": "BadRequest"' in rep.evidence[-1]["reply"]
+
+    def test_internal_reply_exchange_kept_over_the_wire(self, tmp_path):
         # One carry too many for a zero-headroom unit that refuses to wrap.
         cfg = BlockFmaConfig(fma_width=1, n_eab=0, n_ecb=0,
                              rm_intra=RM.TRUNCATE, rm_inter=RM.TRUNCATE,
                              carry_overflow=CarryOverflow.ERROR)
         session = SimBackend(cfg)
         rep = infer_features(session, "binary16", "binary32")
-        assert not rep.complete
-        assert rep.evidence == [
-            {"label": e.label, "request": e.request, "reply": e.reply}
-            for e in session.log]
+        assert rep.complete
+        assert rep.fma_width == Field.undetermined(
+            "Internal: accumulated magnitude needs more than 0 carry bits")
         assert rep.evidence[-1]["label"] == "width-head[k=2]"
         assert '"code": "Internal"' in rep.evidence[-1]["reply"]
         path = tmp_path / "overflow.cfg"

@@ -19,6 +19,7 @@ from mmaprobe.probes import (
     NotFactorable,
     Probe,
     ProbeVector,
+    _scan_step,
     carry_test_vector,
     factor_into_operands,
     gen_alignment_bits_probe,
@@ -524,3 +525,47 @@ class TestWidthSearch:
             for vec in width_test_vectors(k, B16, B32):
                 total = width_test_expected(vec)
                 assert total.bit_count <= 24
+
+
+# Every memoised builder with one argument set the pipeline uses.
+MEMOISED_CALLS = [
+    (gen_subnormal_probes, (B16, B32), {}),
+    (gen_post_alignment_rounding_probe, (B16, B32, 1), {}),
+    (gen_rm_bfma_probe, (B16, B32), {}),
+    (gen_alignment_bits_probe, (B16, B32, 2), {}),
+    (gen_alignment_cancel_probe, (B16, B32, 2), {}),
+    (gen_normalisation_probe, (B16, B32, "carry_and_align", 3), {}),
+    (gen_rm_mbfma_probe, (B16, B32, 8), {"n_eab": 1, "live_position": 9}),
+    (gen_ordering_probe, (B16, B32, 8), {}),
+    (_scan_step, (4, B16, B32), {}),
+]
+
+
+class TestCompileOnce:
+    """Builders are memoised per argument set; results are shared."""
+
+    @pytest.mark.parametrize("fn,args,kwargs", MEMOISED_CALLS,
+                             ids=[fn.__name__ for fn, _, _ in MEMOISED_CALLS])
+    def test_repeat_call_returns_the_same_object(self, fn, args, kwargs):
+        assert fn(*args, **kwargs) is fn(*args, **kwargs)
+
+    def test_width_vectors_are_a_tuple(self):
+        assert isinstance(width_test_vectors(4, B16, B32), tuple)
+        width, _, _ = _scan_step(4, B16, B32)
+        assert isinstance(width, tuple)
+
+    def test_scan_step_pairs_vectors_with_exact_sums(self):
+        width, cvec, carry_sum = _scan_step(5, B16, B32)
+        assert width == tuple((v, abs(width_test_expected(v)))
+                              for v in width_test_vectors(5, B16, B32))
+        assert cvec == carry_test_vector(5, B16, B32)
+        assert carry_sum == width_test_expected(cvec)
+
+    def test_exceptions_are_not_cached(self):
+        before = gen_post_alignment_rounding_probe.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n_eab in"):
+                gen_post_alignment_rounding_probe(B16, B32, 2)
+        after = gen_post_alignment_rounding_probe.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses + 2
