@@ -348,12 +348,12 @@ class SimBackend(_SessionBase):
                                    kmax=cfg.max_k)
 
     def evaluate(self, req: MmaRequest) -> MmaReply:
-        try:
-            fin = REGISTRY[req.fin]
-            fout = REGISTRY[req.fout]
-        except KeyError as e:
+        if not self.handshake.supports(req.fin, req.fout):
             return MmaReply(req.id, error_code="Unsupported",
-                            error_message=f"unknown format {e.args[0]!r}")
+                            error_message="backend does not support "
+                            f"{req.fin}->{req.fout}")
+        fin = REGISTRY[req.fin]
+        fout = REGISTRY[req.fout]
         if req.k > self.cfg.max_k:
             return MmaReply(req.id, error_code="Unsupported",
                             error_message=f"k={req.k} exceeds "
@@ -375,6 +375,10 @@ class SimBackend(_SessionBase):
 # Longest line a child may write; a longer one is a transport failure, so
 # a child that never ends its line cannot grow the parent without bound.
 _MAX_LINE_BYTES = 1 << 20
+
+# Longest single ``select`` wait; the deadline still holds.  ``select``
+# overflows on waits above about 1e9 s, an infinite timeout included.
+_MAX_WAIT_S = 3600.0
 
 
 class _LinePipe:
@@ -403,7 +407,8 @@ class _LinePipe:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise BackendTimeout(f"no reply within {timeout:.1f}s")
-            ready, _, _ = select.select([fd], [], [], remaining)
+            ready, _, _ = select.select([fd], [], [],
+                                        min(remaining, _MAX_WAIT_S))
             if not ready:
                 continue
             chunk = os.read(fd, 65536)
@@ -427,6 +432,8 @@ class ExecBackend(_SessionBase):
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0 s, got {timeout}")
         super().__init__()
         self.command = command
         self.timeout = timeout

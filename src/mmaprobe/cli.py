@@ -42,9 +42,9 @@ from .probes import (
     gen_rm_mbfma_probe,
     gen_subnormal_probes,
     width_test_vectors,
-    width_test_expected,
     carry_test_vector,
 )
+from .simulator import exact_oracle
 
 EX_OK = 0
 EX_ERROR = 1
@@ -66,6 +66,14 @@ def _format_or_die(name: str) -> FpFormat:
         return lookup_format(name)
     except KeyError as e:
         print(f"error: {e.args[0]}", file=sys.stderr)
+        raise SystemExit(EX_USAGE)
+
+
+def _backend_or_die(args):
+    try:
+        return open_backend(args.backend, timeout=args.timeout)
+    except (ValueError, FileNotFoundError) as e:
+        print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
 
 
@@ -107,7 +115,8 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
         "vectors": [_vec_to_obj(v, fin, fout) for v in vecs]
         + [_vec_to_obj(cvec, fin, fout)],
         "expected_exact": [
-            _to_hex(width_test_expected(v), fout, f"exact sum of {v.label}")
+            _to_hex(exact_oracle(v.c, *zip(*v.pairs)), fout,
+                    f"exact sum of {v.label}")
             for v in vecs],
         "note": "iterate k upward; either polarity off the exact sum marks "
                 "the block boundary at k-1; the carry vector matching "
@@ -122,12 +131,8 @@ def _records(name: str, fin: FpFormat, fout: FpFormat,
 
 def _fma_width(args, why: str) -> int:
     if args.fma_width is None:
-        raise _Dependency(why)
+        raise ValueError(why)
     return args.fma_width
-
-
-class _Dependency(Exception):
-    pass
 
 
 # gen-vectors probes in dependency order: name -> records builder.  Probe
@@ -168,11 +173,7 @@ _GEN_VECTORS = {
 def cmd_probe(args) -> int:
     fin = _format_or_die(args.infmt)
     fout = _format_or_die(args.outfmt)
-    try:
-        session = open_backend(args.backend, timeout=args.timeout)
-    except (ValueError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
+    session = _backend_or_die(args)
     j, t = args.seed_params
     opts = InferOptions(k_max=args.kmax, j=j, t=t)
     try:
@@ -204,11 +205,7 @@ def cmd_eval(args) -> int:
         print("error: --a and --b must list the same number of operands",
               file=sys.stderr)
         return EX_USAGE
-    try:
-        session = open_backend(args.backend, timeout=args.timeout)
-    except (ValueError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EX_USAGE
+    session = _backend_or_die(args)
     try:
         req = MmaRequest(id=1, fin=fin.name, fout=fout.name, k=len(a),
                          a=tuple(a), b=tuple(b), c=args.c)
@@ -239,7 +236,7 @@ def cmd_gen_vectors(args) -> int:
     for name in names:
         try:
             records.extend(_GEN_VECTORS[name](fin, fout, args))
-        except (_Dependency, ValueError) as e:
+        except ValueError as e:
             if args.probe == "all":
                 records.append({"probe": name, "skipped": str(e)})
             else:

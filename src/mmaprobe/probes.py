@@ -33,6 +33,7 @@ from .formats import (
     pow2,
     sum_of_pow2,
 )
+from .simulator import exact_oracle, max_detectable_carry_bits
 
 __all__ = [
     "QUAL_EXACT",
@@ -193,6 +194,18 @@ def _padded(pairs_by_pos: dict[int, tuple[Dyadic, Dyadic]],
     return tuple(out)
 
 
+def _signed(feature: str, pos: ProbeVector,
+            rows: Sequence[tuple[Dyadic, Dyadic, object]],
+            note: str = "") -> Probe:
+    """Ship ``pos`` in both sign polarities, ``pos`` first.
+
+    Each row ``(x, y, verdict)`` names the magnitudes ``pos`` and its
+    negation return under ``verdict``; the negated output is ``-y``.
+    """
+    return Probe(feature, (pos, pos.negated()),
+                 tuple(((x, -y), verdict) for x, y, verdict in rows), note)
+
+
 def _rounding_probe(feature: str, pos: ProbeVector, lo: Dyadic,
                     hi: Dyadic) -> Probe:
     """Name the rounding mode from ``pos`` and its negation.
@@ -201,11 +214,11 @@ def _rounding_probe(feature: str, pos: ProbeVector, lo: Dyadic,
     representable value above it; the four modes differ in which polarity
     rounds up to ``hi``.
     """
-    return Probe(feature=feature, vectors=(pos, pos.negated()), rows=(
-        ((lo, -lo), "Truncate"),
-        ((hi, -hi), "RNE"),
-        ((hi, -lo), "RU"),
-        ((lo, -hi), "RD"),
+    return _signed(feature, pos, (
+        (lo, lo, "Truncate"),
+        (hi, hi, "RNE"),
+        (hi, lo, "RU"),
+        (lo, hi, "RD"),
     ))
 
 
@@ -325,20 +338,14 @@ def gen_alignment_bits_probe(fin: FpFormat, fout: FpFormat,
     live[n + 1] = deep
     pos = ProbeVector(f"align-bits[n={n},j={j}]", pow2(j),
                       _padded(live, n + 1))
-    neg = pos.negated()
     base = pow2(j)
     show = pow2(j) + pow2(-p + j + 1)
-    return Probe(
-        feature="n_eab_at_least",
-        vectors=(pos, neg),
-        rows=(
-            ((show, -show), ("at_least", n)),
-            ((base, -base), ("fewer_than", n)),
-            ((show, -base), ("fewer_than", n)),
-            ((base, -show), ("fewer_than", n)),
-        ),
-        note="indicator on one side only = rounding artefact, not survival",
-    )
+    return _signed("n_eab_at_least", pos, (
+        (show, show, ("at_least", n)),
+        (base, base, ("fewer_than", n)),
+        (show, base, ("fewer_than", n)),
+        (base, show, ("fewer_than", n)),
+    ), note="indicator on one side only = rounding artefact, not survival")
 
 
 @_memoised
@@ -363,6 +370,8 @@ def gen_alignment_cancel_probe(fin: FpFormat, fout: FpFormat,
     bit_pair = factor_into_operands(probe_bit, fin)
     pos = ProbeVector(f"align-cancel[n={n},j={j}]", ZERO,
                       (unit, bit_pair, neg_unit))
+    # Rows spelled out, not ``_signed``: the dropped-bit row is +0 on both
+    # polarities, and negating it would export negative zero.
     neg = pos.negated()
     return Probe(
         feature="n_eab_at_least",
@@ -396,37 +405,27 @@ def gen_normalisation_probe(fin: FpFormat, fout: FpFormat, case: str,
         c = Dyadic.from_int(2) - pow2(-p + 1)
         pair = factor_into_operands(pow2(-p + 1), fin)
         pos = ProbeVector("norm[carry-only]", c, (pair, pair, pair))
-        neg = pos.negated()
         two = Dyadic.from_int(2)
         deferred = two + pow2(-p + 2)
-        return Probe(
-            feature="immediate_norm",
-            vectors=(pos, neg),
-            rows=(
-                ((two, -two), True),
-                ((deferred, -deferred), False),
-            ),
-        )
+        return _signed("immediate_norm", pos, (
+            (two, two, True),
+            (deferred, deferred, False),
+        ))
     if case == "carry_and_align":
         if t < 3:
             raise ValueError("t must be >= 3")
         c = ONE - pow2(-p + t)
         pair = factor_into_operands(pow2(-p + t) + pow2(-p), fin)
         pos = ProbeVector(f"norm[carry-and-align,t={t}]", c, (pair, pair))
-        neg = pos.negated()
         base = ONE + pow2(-p + t)
         imm_up = base + pow2(-p + 2)
         deferred = base + pow2(-p + 1)
-        return Probe(
-            feature="immediate_norm",
-            vectors=(pos, neg),
-            rows=(
-                ((base, -base), True),          # immediate, RZ/RD/RNE/trunc
-                ((imm_up, -base), True),        # immediate, RU
-                ((base, -imm_up), True),        # immediate, RD
-                ((deferred, -deferred), False),
-            ),
-        )
+        return _signed("immediate_norm", pos, (
+            (base, base, True),          # immediate, RZ/RD/RNE/trunc
+            (imm_up, base, True),        # immediate, RU
+            (base, imm_up, True),        # immediate, RD
+            (deferred, deferred, False),
+        ))
     raise ValueError(f"unknown normalisation case {case!r}")
 
 
@@ -544,37 +543,19 @@ def width_test_vectors(k: int, fin: FpFormat,
     fine_pair = factor_into_operands(fine, fin)
     neg_fine_pair = factor_into_operands(-fine, fin)
     c = ONE + fine
-    head = ProbeVector(f"width-head[k={k}]", c,
-                       _padded({1: unit_pair, k: fine_pair}, k))
-    tail = ProbeVector(f"width-tail[k={k}]", c,
-                       _padded({1: fine_pair, k: unit_pair}, k))
-    head_cancel = ProbeVector(f"width-head-cancel[k={k}]", c,
-                              _padded({1: unit_pair, k: neg_fine_pair}, k))
-    tail_cancel = ProbeVector(f"width-tail-cancel[k={k}]", c,
-                              _padded({1: neg_fine_pair, k: unit_pair}, k))
-    out = (head, head.negated(), tail, tail.negated(),
-           head_cancel, head_cancel.negated(),
-           tail_cancel, tail_cancel.negated())
+    families = [("head", c, {1: unit_pair, k: fine_pair}),
+                ("tail", c, {1: fine_pair, k: unit_pair}),
+                ("head-cancel", c, {1: unit_pair, k: neg_fine_pair}),
+                ("tail-cancel", c, {1: neg_fine_pair, k: unit_pair})]
     if k >= 4:
-        straddle = ProbeVector(
-            f"width-straddle[k={k}]", ZERO,
-            _padded({1: unit_pair, 2: fine_pair,
-                     k - 1: unit_pair, k: fine_pair}, k))
-        straddle_cancel = ProbeVector(
-            f"width-straddle-cancel[k={k}]", ZERO,
-            _padded({1: unit_pair, 2: fine_pair,
-                     k - 1: unit_pair, k: neg_fine_pair}, k))
-        out += (straddle, straddle.negated(),
-                straddle_cancel, straddle_cancel.negated())
-    return out
-
-
-def width_test_expected(vec: ProbeVector) -> Dyadic:
-    """Exact sum a split-free unit must return for a width test vector."""
-    acc = vec.c
-    for a, b in vec.pairs:
-        acc = acc + a * b
-    return acc
+        ends = {1: unit_pair, 2: fine_pair, k - 1: unit_pair}
+        families += [("straddle", ZERO, {**ends, k: fine_pair}),
+                     ("straddle-cancel", ZERO, {**ends, k: neg_fine_pair})]
+    out = []
+    for family, addend, live in families:
+        vec = ProbeVector(f"width-{family}[k={k}]", addend, _padded(live, k))
+        out += (vec, vec.negated())
+    return tuple(out)
 
 
 def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
@@ -605,10 +586,10 @@ def _scan_step(k: int, fin: FpFormat, fout: FpFormat,
                           ProbeVector, Dyadic]:
     """One ``k`` of the width scan: each width vector with its exact
     magnitude, then the carry vector and its exact sum."""
-    width = tuple((vec, abs(width_test_expected(vec)))
+    width = tuple((vec, abs(exact_oracle(vec.c, *zip(*vec.pairs))))
                   for vec in width_test_vectors(k, fin, fout))
     cvec = carry_test_vector(k, fin, fout)
-    return width, cvec, width_test_expected(cvec)
+    return width, cvec, exact_oracle(cvec.c, *zip(*cvec.pairs))
 
 
 @dataclass
@@ -644,8 +625,6 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     ``k_max`` exhaustion without a mismatch leaves ``n_fma`` at None
     (width at least ``k_max``).
     """
-    from .simulator import max_detectable_carry_bits
-
     n_ecb = 0
     skipped_at: Optional[int] = None
     for k in range(2, k_max + 1):

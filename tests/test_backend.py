@@ -283,6 +283,16 @@ class TestExecLoopback:
         finally:
             sess.close()
 
+    def test_huge_timeout_session_answers(self):
+        # select() overflows on a wait this long; each wait is capped.
+        sess = ExecBackend(SERVE_CMD, timeout=1e12)
+        try:
+            req = MmaRequest(id=1, fin="binary16", fout="binary32", k=1,
+                             a=("3c00",), b=("3c00",), c="3f800000")
+            assert sess.evaluate(req).d == "40000000"
+        finally:
+            sess.close()
+
     def test_bit_identical_replies(self):
         cfg = BlockFmaConfig()
         inproc = SimBackend(cfg)

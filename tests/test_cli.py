@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, stdout discipline)."""
 
+import hashlib
 import json
 import sys
 
@@ -9,6 +10,22 @@ from mmaprobe import selftest
 from mmaprobe.cli import main
 
 AMPERE = "sim:ampere"
+SERVE = f"exec:{sys.executable} -m mmaprobe.cli serve --config ampere"
+
+# sha256 over every `gen-vectors --probe all` run below, each hashed as its
+# exit code in decimal followed by its stdout: vectors, classifier rows,
+# skipped probes and off-grid pairs.
+GEN_VECTORS_SHA256 = \
+    "19859dffa845fba1a38b0e8f03594cdbe7fa8a45dd85b60ed260a9a1be36375b"
+GEN_VECTORS_PAIRS = (
+    ("binary16", "binary32"), ("bfloat16", "binary32"),
+    ("TensorFloat32", "binary32"), ("binary16", "binary16"),
+    ("bfloat16", "binary16"))
+GEN_VECTORS_FLAGS = (
+    (), ("--fma-width", "8"),
+    ("--fma-width", "4", "--n-eab", "1", "--n", "2", "--k", "5", "--j", "3",
+     "--t", "4"),
+    ("--fma-width", "4", "--norm-case", "carry_only", "--k", "9"))
 
 
 def run(capsys, *argv):
@@ -121,8 +138,26 @@ class TestEvalCommand:
         assert code == 0
         assert out.strip() == "00000000"
 
+    def test_unoffered_pair_is_unsupported(self, capsys):
+        code, out, err = run(capsys, "eval", "--backend", AMPERE,
+                             "--in", "binary32", "--out", "binary16",
+                             "--c", "0000", "--a", "3f800000",
+                             "--b", "3f800000")
+        assert (code, out) == (1, "")
+        assert err == ("error: Unsupported: backend does not support "
+                       "binary32->binary16\n")
+
 
 class TestGenVectors:
+    def test_output_bytes_unchanged(self, capsys):
+        digest = hashlib.sha256()
+        for fin, fout in GEN_VECTORS_PAIRS:
+            for flags in GEN_VECTORS_FLAGS:
+                code, out, _ = run(capsys, "gen-vectors", "--in", fin,
+                                   "--out", fout, "--probe", "all", *flags)
+                digest.update(f"{code}{out}".encode())
+        assert digest.hexdigest() == GEN_VECTORS_SHA256
+
     def test_boundary_search_first_iteration(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "algorithm1",
                            "--in", "binary16", "--out", "binary32")
@@ -281,6 +316,23 @@ class TestBackendFailures:
                              "--in", "binary16", "--out", "binary32")
         assert (code, out) == (1, "")
         assert err == "error: bad handshake: not a JSON object\n"
+
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_positive_timeout_usage_error(self, capsys, command,
+                                              timeout):
+        code, out, err = run(capsys, *self.COMMANDS[command],
+                             "--backend", SERVE, "--timeout", timeout,
+                             "--in", "binary16", "--out", "binary32")
+        assert (code, out) == (64, "")
+        assert err == f"error: timeout must be > 0 s, got {float(timeout)}\n"
+
+    def test_infinite_timeout_waits(self, capsys):
+        code, out, err = run(capsys, "eval", "--backend", SERVE,
+                             "--timeout", "inf", "--in", "binary16",
+                             "--out", "binary32", "--c", "3f800000",
+                             "--a", "3c00", "--b", "3c00")
+        assert (code, out, err) == (0, "40000000\n", "")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_missing_harness(self, capsys, command):

@@ -320,6 +320,14 @@ class TestWarmCaches:
             outs.append(capsys.readouterr().out)
         assert outs[1] == outs[0]
 
+    def test_benchmark_tracer_finds_every_wrapped_name(self, monkeypatch):
+        # The benchmark's span tracer wraps program names by attribute; a
+        # renamed builder or codec call must fail here, not in a traced run.
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from spans import Tracer
+
+        assert len(Tracer()._wrappers) == 25
+
 
 class TestEvidence:
     def test_aborted_report_keeps_the_failing_exchange(self):

@@ -31,7 +31,6 @@ from mmaprobe.probes import (
     gen_rm_mbfma_probe,
     gen_subnormal_probes,
     run_algorithm1,
-    width_test_expected,
     width_test_vectors,
 )
 from mmaprobe.simulator import (
@@ -39,6 +38,7 @@ from mmaprobe.simulator import (
     BlockFmaConfig,
     NormPolicy,
     Ordering,
+    exact_oracle,
     mma_dot,
 )
 
@@ -48,6 +48,10 @@ TF32 = REGISTRY["TensorFloat32"]
 B32 = REGISTRY["binary32"]
 
 RM = RoundingMode
+
+
+def exact_sum(vec):
+    return exact_oracle(vec.c, *zip(*vec.pairs))
 
 
 def eval_probe(probe: Probe, cfg: BlockFmaConfig, fout=B32):
@@ -491,7 +495,7 @@ class TestWidthSearch:
 
     def test_carry_vector_shape(self):
         vec = carry_test_vector(8, B16, B32)
-        total = width_test_expected(vec)
+        total = exact_sum(vec)
         # The exact sum fits the output precision: equality is achievable.
         assert total.bit_count <= 24
         values = [a * b for a, b in vec.pairs]
@@ -523,7 +527,7 @@ class TestWidthSearch:
     def test_width_vectors_exact_sums(self):
         for k in (2, 4, 7):
             for vec in width_test_vectors(k, B16, B32):
-                total = width_test_expected(vec)
+                total = exact_sum(vec)
                 assert total.bit_count <= 24
 
 
@@ -556,10 +560,10 @@ class TestCompileOnce:
 
     def test_scan_step_pairs_vectors_with_exact_sums(self):
         width, cvec, carry_sum = _scan_step(5, B16, B32)
-        assert width == tuple((v, abs(width_test_expected(v)))
+        assert width == tuple((v, abs(exact_sum(v)))
                               for v in width_test_vectors(5, B16, B32))
         assert cvec == carry_test_vector(5, B16, B32)
-        assert carry_sum == width_test_expected(cvec)
+        assert carry_sum == exact_sum(cvec)
 
     def test_exceptions_are_not_cached(self):
         before = gen_post_alignment_rounding_probe.cache_info()
