@@ -498,6 +498,7 @@ class ExecBackend(_SessionBase):
                 self._proc.wait(timeout=5)
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
+            self._proc.stdout.close()
             self._proc = None
 
 

@@ -105,22 +105,23 @@ def _probe_to_record(name: str, probe: Probe, fin: FpFormat,
 
 
 def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
-    vecs = width_test_vectors(k, fin, fout)[:2]
+    """Every vector ``run_algorithm1`` sends at ``k``, in sending order."""
+    vecs = width_test_vectors(k, fin, fout)
     cvec = carry_test_vector(k, fin, fout)
     return {
         "probe": "algorithm1",
         "feature": "fma_width,n_ecb",
         "fin": fin.name,
         "fout": fout.name,
-        "vectors": [_vec_to_obj(v, fin, fout) for v in vecs]
-        + [_vec_to_obj(cvec, fin, fout)],
+        "vectors": [_vec_to_obj(v, fin, fout) for v in (*vecs, cvec)],
         "expected_exact": [
             _to_hex(exact_oracle(v.c, *zip(*v.pairs)), fout,
                     f"exact sum of {v.label}")
             for v in vecs],
-        "note": "iterate k upward; either polarity off the exact sum marks "
-                "the block boundary at k-1; the carry vector matching "
-                "exactly records floor(log2(k*(2-2^(1-p_in)))) carry bits",
+        "note": "iterate k upward; any width vector whose magnitude is off "
+                "its exact sum marks the block boundary at k-1; the carry "
+                "vector matching exactly records "
+                "floor(log2(k*(2-2^(1-p_in)))) carry bits",
     }
 
 

@@ -60,6 +60,7 @@ _FEATURES = (
     ("fma_width", "N_FMA"), ("rm_bfma", "RM-BFMA"), ("rm_mbfma", "RM-MBFMA"),
     ("rm_post_alignment", "RM-Align"), ("ordering", "Ordering"),
 )
+_QUALIFIERS = (QUAL_EXACT, QUAL_AT_LEAST, QUAL_UNDETERMINED)
 
 
 @dataclass
@@ -85,8 +86,8 @@ class FeatureReport:
     def field_map(self) -> dict:
         return {name: getattr(self, name) for name, _ in _FEATURES}
 
-    def to_json(self) -> str:
-        obj = {
+    def to_obj(self) -> dict:
+        return {
             "schema": SCHEMA,
             "fin": self.fin,
             "fout": self.fout,
@@ -95,20 +96,33 @@ class FeatureReport:
             "notes": list(self.notes),
             "evidence": list(self.evidence),
         }
-        return json.dumps(obj, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
 
     @staticmethod
-    def from_json(text: str) -> "FeatureReport":
-        obj = json.loads(text)
+    def from_obj(obj: dict) -> "FeatureReport":
+        """Inverse of ``to_obj``; rejects unknown features and qualifiers."""
         if obj.get("schema") != SCHEMA:
             raise ValueError(f"unknown report schema {obj.get('schema')!r}")
         rep = FeatureReport(fin=obj["fin"], fout=obj["fout"],
                             complete=bool(obj["complete"]),
                             notes=list(obj.get("notes", [])),
                             evidence=list(obj.get("evidence", [])))
+        names = rep.field_map()
         for name, fobj in obj["features"].items():
-            setattr(rep, name, Field.from_obj(fobj))
+            if name not in names:
+                raise ValueError(f"unknown feature {name!r}")
+            field = Field.from_obj(fobj)
+            if field.qualifier not in _QUALIFIERS:
+                raise ValueError(
+                    f"unknown qualifier {field.qualifier!r} for {name!r}")
+            setattr(rep, name, field)
         return rep
+
+    @staticmethod
+    def from_json(text: str) -> "FeatureReport":
+        return FeatureReport.from_obj(json.loads(text))
 
 
 @dataclass
@@ -386,7 +400,7 @@ def render_report(reports, style: str = "table") -> str:
     if isinstance(reports, FeatureReport):
         reports = [reports]
     if style == "structured":
-        body = [json.loads(r.to_json()) for r in reports]
+        body = [r.to_obj() for r in reports]
         return json.dumps({"schema": SCHEMA, "reports": body},
                           sort_keys=True, indent=2)
     if style != "table":
@@ -413,7 +427,4 @@ def parse_report(text: str) -> list:
     obj = json.loads(text)
     if obj.get("schema") != SCHEMA:
         raise ValueError("not a structured report")
-    out = []
-    for body in obj["reports"]:
-        out.append(FeatureReport.from_json(json.dumps(body)))
-    return out
+    return [FeatureReport.from_obj(body) for body in obj["reports"]]

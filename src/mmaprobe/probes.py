@@ -11,6 +11,11 @@ sign-asymmetric.
 A classifier never guesses: observations matching no row yield an
 undetermined ``Field`` with the reason.
 
+Every builder states its addend, products and classifier outputs at unit
+scale.  Only ``_vector`` and ``_probe`` scale them by ``2^j`` (the seed
+``j`` otherwise appears only in labels), and only ``_vector`` splits
+products into operands and pads each vector to ``k`` slots.
+
 Vectors never depend on the unit under test, so every builder is
 memoised per argument set and its results are shared, immutable values:
 never change a ``Probe`` or ``ProbeVector`` in place.  A builder that
@@ -182,44 +187,61 @@ def factor_into_operands(r: Dyadic, fin: FpFormat) -> tuple[Dyadic, Dyadic]:
     return a, pow2(b_exp)
 
 
-def _padded(pairs_by_pos: dict[int, tuple[Dyadic, Dyadic]],
-            k: int) -> tuple[tuple[Dyadic, Dyadic], ...]:
-    """Place 1-indexed live pairs into a zero-filled length-k tuple.
+def _vector(label: str, c: Dyadic,
+            products: Sequence[Dyadic] | dict[int, Dyadic], fin: FpFormat,
+            j: int = 0, k: int = 0) -> ProbeVector:
+    """Instantiate a vector stated at unit scale, scaled by ``2^j``.
 
-    Fillers are explicit zero products; no backend zero-skip is relied on.
+    ``products`` are exact values in slot order, or a dict of 1-indexed
+    slots to values; each is split into input-format operands.  The vector
+    is padded to ``k`` slots with explicit zero products: no backend
+    zero-skip is relied on.
     """
-    out = [(ZERO, ZERO)] * k
-    for pos, pair in pairs_by_pos.items():
-        out[pos - 1] = pair
-    return tuple(out)
+    scale = pow2(j)
+    if not isinstance(products, dict):
+        products = dict(enumerate(products, 1))
+    pairs = [(ZERO, ZERO)] * max(k, len(products))
+    for pos, r in products.items():
+        pairs[pos - 1] = factor_into_operands(r * scale, fin)
+    return ProbeVector(label, c * scale, tuple(pairs))
+
+
+def _probe(feature: str, vectors: tuple[ProbeVector, ...],
+           rows: Sequence[tuple[Sequence[Dyadic], object]], j: int,
+           note: str = "") -> Probe:
+    """A probe whose classifier outputs are stated at unit scale."""
+    scale = pow2(j)
+    return Probe(feature, vectors, tuple(
+        (tuple(x * scale for x in expected), verdict)
+        for expected, verdict in rows), note)
 
 
 def _signed(feature: str, pos: ProbeVector,
-            rows: Sequence[tuple[Dyadic, Dyadic, object]],
+            rows: Sequence[tuple[Dyadic, Dyadic, object]], j: int = 0,
             note: str = "") -> Probe:
     """Ship ``pos`` in both sign polarities, ``pos`` first.
 
-    Each row ``(x, y, verdict)`` names the magnitudes ``pos`` and its
-    negation return under ``verdict``; the negated output is ``-y``.
+    Each row ``(x, y, verdict)`` means ``pos`` returns ``x`` and its
+    negation ``-y`` under ``verdict``, both stated at unit scale.
     """
-    return Probe(feature, (pos, pos.negated()),
-                 tuple(((x, -y), verdict) for x, y, verdict in rows), note)
+    return _probe(feature, (pos, pos.negated()),
+                  tuple(((x, -y), verdict) for x, y, verdict in rows), j, note)
 
 
 def _rounding_probe(feature: str, pos: ProbeVector, lo: Dyadic,
-                    hi: Dyadic) -> Probe:
+                    hi: Dyadic, j: int = 0) -> Probe:
     """Name the rounding mode from ``pos`` and its negation.
 
-    ``lo`` is the magnitude a truncating unit returns and ``hi`` the next
-    representable value above it; the four modes differ in which polarity
-    rounds up to ``hi``.
+    ``lo`` is the unit-scale magnitude a truncating unit returns and ``hi``
+    the next representable value above it; the four modes differ in which
+    polarity rounds up to ``hi``.
     """
     return _signed(feature, pos, (
         (lo, lo, "Truncate"),
         (hi, hi, "RNE"),
         (hi, lo, "RU"),
         (lo, hi, "RD"),
-    ))
+    ), j)
 
 
 # -- subnormal support -------------------------------------------------
@@ -282,12 +304,11 @@ def gen_post_alignment_rounding_probe(fin: FpFormat, fout: FpFormat,
     if n_eab not in (0, 1):
         raise ValueError("post-alignment probe handles n_eab in {0, 1} only")
     p = fout.precision
-    r = pow2(-p + j - n_eab) + pow2(-p + j - n_eab - 1)
-    pair = factor_into_operands(r, fin)
-    pos = ProbeVector(f"post-align-round[n_eab={n_eab},j={j}]",
-                      pow2(j), (pair, pair))
-    return _rounding_probe("rm_post_alignment", pos, pow2(j),
-                           pow2(j) + pow2(-p + j + 2 - n_eab))
+    r = pow2(-p - n_eab) + pow2(-p - n_eab - 1)
+    pos = _vector(f"post-align-round[n_eab={n_eab},j={j}]", ONE, (r, r),
+                  fin, j)
+    return _rounding_probe("rm_post_alignment", pos, ONE,
+                           ONE + pow2(-p + 2 - n_eab), j)
 
 
 # -- final rounding of one block (RM-BFMA) -----------------------------
@@ -304,11 +325,9 @@ def gen_rm_bfma_probe(fin: FpFormat, fout: FpFormat, j: int = 0) -> Probe:
     Requires width >= 3, two carry headroom bits, and deferred accumulation.
     """
     p = fout.precision
-    c = pow2(j) + pow2(-p + j + 1) + pow2(-p + j + 2)
-    unit = factor_into_operands(pow2(j), fin)
-    pos = ProbeVector(f"rm-bfma[j={j}]", c, (unit, unit, unit))
-    return _rounding_probe("rm_bfma", pos, pow2(j + 2),
-                           pow2(j + 2) + pow2(-p + j + 3))
+    c = ONE + pow2(-p + 1) + pow2(-p + 2)
+    pos = _vector(f"rm-bfma[j={j}]", c, (ONE,) * 3, fin, j)
+    return _rounding_probe("rm_bfma", pos, pow2(2), pow2(2) + pow2(-p + 3), j)
 
 
 # -- extra alignment bits ----------------------------------------------
@@ -330,22 +349,15 @@ def gen_alignment_bits_probe(fin: FpFormat, fout: FpFormat,
     if n < 1:
         raise ValueError("n must be >= 1")
     p = fout.precision
-    live: dict[int, tuple[Dyadic, Dyadic]] = {}
-    for i in range(1, n):
-        live[i] = factor_into_operands(pow2(-p - i + j + 1), fin)
-    deep = factor_into_operands(pow2(-p + 1 - n + j), fin)
-    live[n] = deep
-    live[n + 1] = deep
-    pos = ProbeVector(f"align-bits[n={n},j={j}]", pow2(j),
-                      _padded(live, n + 1))
-    base = pow2(j)
-    show = pow2(j) + pow2(-p + j + 1)
+    ladder = [pow2(-p - i + 1) for i in range(1, n)] + [pow2(-p + 1 - n)] * 2
+    pos = _vector(f"align-bits[n={n},j={j}]", ONE, ladder, fin, j)
+    show = ONE + pow2(-p + 1)
     return _signed("n_eab_at_least", pos, (
         (show, show, ("at_least", n)),
-        (base, base, ("fewer_than", n)),
-        (show, base, ("fewer_than", n)),
-        (base, show, ("fewer_than", n)),
-    ), note="indicator on one side only = rounding artefact, not survival")
+        (ONE, ONE, ("fewer_than", n)),
+        (show, ONE, ("fewer_than", n)),
+        (ONE, show, ("fewer_than", n)),
+    ), j, note="indicator on one side only = rounding artefact, not survival")
 
 
 @_memoised
@@ -363,24 +375,14 @@ def gen_alignment_cancel_probe(fin: FpFormat, fout: FpFormat,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = fout.precision
-    probe_bit = pow2(-p + 1 - n + j)
-    unit = factor_into_operands(pow2(j), fin)
-    neg_unit = factor_into_operands(-pow2(j), fin)
-    bit_pair = factor_into_operands(probe_bit, fin)
-    pos = ProbeVector(f"align-cancel[n={n},j={j}]", ZERO,
-                      (unit, bit_pair, neg_unit))
+    bit = pow2(-fout.precision + 1 - n)
+    pos = _vector(f"align-cancel[n={n},j={j}]", ZERO, (ONE, bit, -ONE), fin, j)
     # Rows spelled out, not ``_signed``: the dropped-bit row is +0 on both
     # polarities, and negating it would export negative zero.
-    neg = pos.negated()
-    return Probe(
-        feature="n_eab_at_least",
-        vectors=(pos, neg),
-        rows=(
-            ((probe_bit, -probe_bit), ("at_least", n)),
-            ((ZERO, ZERO), ("fewer_than", n)),
-        ),
-    )
+    return _probe("n_eab_at_least", (pos, pos.negated()), (
+        ((bit, -bit), ("at_least", n)),
+        ((ZERO, ZERO), ("fewer_than", n)),
+    ), j)
 
 
 # -- normalisation timing ----------------------------------------------
@@ -402,10 +404,9 @@ def gen_normalisation_probe(fin: FpFormat, fout: FpFormat, case: str,
     """
     p = fout.precision
     if case == "carry_only":
-        c = Dyadic.from_int(2) - pow2(-p + 1)
-        pair = factor_into_operands(pow2(-p + 1), fin)
-        pos = ProbeVector("norm[carry-only]", c, (pair, pair, pair))
-        two = Dyadic.from_int(2)
+        two = pow2(1)
+        pos = _vector("norm[carry-only]", two - pow2(-p + 1),
+                      (pow2(-p + 1),) * 3, fin)
         deferred = two + pow2(-p + 2)
         return _signed("immediate_norm", pos, (
             (two, two, True),
@@ -414,9 +415,9 @@ def gen_normalisation_probe(fin: FpFormat, fout: FpFormat, case: str,
     if case == "carry_and_align":
         if t < 3:
             raise ValueError("t must be >= 3")
-        c = ONE - pow2(-p + t)
-        pair = factor_into_operands(pow2(-p + t) + pow2(-p), fin)
-        pos = ProbeVector(f"norm[carry-and-align,t={t}]", c, (pair, pair))
+        r = pow2(-p + t) + pow2(-p)
+        pos = _vector(f"norm[carry-and-align,t={t}]", ONE - pow2(-p + t),
+                      (r, r), fin)
         base = ONE + pow2(-p + t)
         imm_up = base + pow2(-p + 2)
         deferred = base + pow2(-p + 1)
@@ -453,19 +454,13 @@ def gen_rm_mbfma_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
     pos_idx = live_position if live_position is not None else n_fma + 1
     k = max(n_fma + 1, pos_idx)
     if n_eab is not None and n_eab >= 1:
-        c = pow2(j) + pow2(-p + j + 1)
-        pair = factor_into_operands(pow2(-p + j) + pow2(-p + j - 1), fin)
-        label = f"rm-mbfma[j={j}]"
-        lo = pow2(j) + pow2(-p + j + 1)
-        hi = pow2(j) + pow2(-p + j + 2)
+        name, c, r = "rm-mbfma", ONE + pow2(-p + 1), pow2(-p) + pow2(-p - 1)
+        lo, hi = ONE + pow2(-p + 1), ONE + pow2(-p + 2)
     else:
-        c = pow2(j) + pow2(-p + j + 1) + pow2(-p + j + 2)
-        pair = factor_into_operands(pow2(j), fin)
-        label = f"rm-mbfma-carry[j={j}]"
-        lo = pow2(j + 1) + pow2(-p + j + 2)
-        hi = pow2(j + 1) + pow2(-p + j + 3)
-    pos = ProbeVector(label, c, _padded({pos_idx: pair}, k))
-    return _rounding_probe("rm_mbfma", pos, lo, hi)
+        name, c, r = "rm-mbfma-carry", ONE + pow2(-p + 1) + pow2(-p + 2), ONE
+        lo, hi = pow2(1) + pow2(-p + 2), pow2(1) + pow2(-p + 3)
+    pos = _vector(f"{name}[j={j}]", c, {pos_idx: r}, fin, j, k)
+    return _rounding_probe("rm_mbfma", pos, lo, hi, j)
 
 
 # -- combine ordering ---------------------------------------------------
@@ -485,28 +480,19 @@ def gen_ordering_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
     """
     if n_fma < 1:
         raise ValueError("n_fma must be >= 1")
-    p = fout.precision
-    tiny = pow2(-p - 3 + j)
-    unit = pow2(j)
-    k = 2 * n_fma
-    u_pair = factor_into_operands(unit, fin)
-    nu_pair = factor_into_operands(-unit, fin)
-    t_pair = factor_into_operands(tiny, fin)
-    v1 = ProbeVector(f"ordering-P1[j={j}]", unit,
-                     _padded({1: nu_pair, n_fma + 1: t_pair}, k))
-    v2 = ProbeVector(f"ordering-P2[j={j}]", tiny,
-                     _padded({1: u_pair, n_fma + 1: nu_pair}, k))
-    v3 = ProbeVector(f"ordering-P3[j={j}]", unit,
-                     _padded({1: t_pair, n_fma + 1: nu_pair}, k))
-    return Probe(
-        feature="ordering",
-        vectors=(v1, v2, v3),
-        rows=(
-            ((tiny, ZERO, ZERO), "CFirst"),
-            ((ZERO, tiny, ZERO), "TreeThenC"),
-            ((ZERO, ZERO, tiny), "CWithLast"),
-        ),
-    )
+    tiny = pow2(-fout.precision - 3)
+    # (addend, first slot of block one, first slot of block two)
+    vectors = tuple(
+        _vector(f"ordering-{name}[j={j}]", c, {1: first, n_fma + 1: second},
+                fin, j, 2 * n_fma)
+        for name, c, first, second in (("P1", ONE, -ONE, tiny),
+                                       ("P2", tiny, ONE, -ONE),
+                                       ("P3", ONE, tiny, -ONE)))
+    return _probe("ordering", vectors, (
+        ((tiny, ZERO, ZERO), "CFirst"),
+        ((ZERO, tiny, ZERO), "TreeThenC"),
+        ((ZERO, ZERO, tiny), "CWithLast"),
+    ), j)
 
 
 # -- width and carry-bit search -----------------------------------------
@@ -516,7 +502,7 @@ def width_test_vectors(k: int, fin: FpFormat,
                        fout: FpFormat) -> tuple[ProbeVector, ...]:
     """Boundary-detection vectors for shared dimension ``k``.
 
-    Three families, each issued in both polarities, all with the same
+    Four families, each issued in both polarities, all with the same
     property: a single block keeps their sum exact, while a block split at
     any smaller width loses a fine bit to rounding or alignment in at
     least one polarity.
@@ -537,23 +523,19 @@ def width_test_vectors(k: int, fin: FpFormat,
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    p = fout.precision
-    fine = pow2(-p + 1)
-    unit_pair = factor_into_operands(ONE, fin)
-    fine_pair = factor_into_operands(fine, fin)
-    neg_fine_pair = factor_into_operands(-fine, fin)
+    fine = pow2(-fout.precision + 1)
     c = ONE + fine
-    families = [("head", c, {1: unit_pair, k: fine_pair}),
-                ("tail", c, {1: fine_pair, k: unit_pair}),
-                ("head-cancel", c, {1: unit_pair, k: neg_fine_pair}),
-                ("tail-cancel", c, {1: neg_fine_pair, k: unit_pair})]
+    families = [("head", c, {1: ONE, k: fine}),
+                ("tail", c, {1: fine, k: ONE}),
+                ("head-cancel", c, {1: ONE, k: -fine}),
+                ("tail-cancel", c, {1: -fine, k: ONE})]
     if k >= 4:
-        ends = {1: unit_pair, 2: fine_pair, k - 1: unit_pair}
-        families += [("straddle", ZERO, {**ends, k: fine_pair}),
-                     ("straddle-cancel", ZERO, {**ends, k: neg_fine_pair})]
+        ends = {1: ONE, 2: fine, k - 1: ONE}
+        families += [("straddle", ZERO, {**ends, k: fine}),
+                     ("straddle-cancel", ZERO, {**ends, k: -fine})]
     out = []
     for family, addend, live in families:
-        vec = ProbeVector(f"width-{family}[k={k}]", addend, _padded(live, k))
+        vec = _vector(f"width-{family}[k={k}]", addend, live, fin, k=k)
         out += (vec, vec.negated())
     return tuple(out)
 
@@ -570,14 +552,11 @@ def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
     if k < 2:
         raise ValueError("k must be >= 2")
     p_in, p_out = fin.precision, fout.precision
-    big = Dyadic.from_int(2) - pow2(1 - p_in)
-    big_pair = factor_into_operands(big, fin)
-    fine_pair = factor_into_operands(pow2(-p_out + 1), fin)
+    big = pow2(1) - pow2(1 - p_in)
     m = (k - 1).bit_length()  # ceil(log2(k)) marker bits above the probe bit
     c = big + sum_of_pow2(-p_out + i for i in range(1, m + 1))
-    live = {i: big_pair for i in range(1, k)}
-    live[k] = fine_pair
-    return ProbeVector(f"carry[k={k}]", c, _padded(live, k))
+    return _vector(f"carry[k={k}]", c, [big] * (k - 1) + [pow2(-p_out + 1)],
+                   fin)
 
 
 @_memoised

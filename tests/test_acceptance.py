@@ -25,10 +25,13 @@ from mmaprobe.formats import (
     lookup_format,
     round_to_precision,
 )
-from mmaprobe.inference import QUAL_EXACT, infer_features
+from mmaprobe.inference import QUAL_EXACT, InferOptions, infer_features
+from mmaprobe.presets import load_config
 from mmaprobe.probes import run_algorithm1, ProbeVector
 from mmaprobe.selftest import (
     GOLDEN_PRESETS,
+    RMS,
+    WIDTHS,
     check_case,
     check_golden_preset,
     iter_grid,
@@ -36,6 +39,7 @@ from mmaprobe.selftest import (
 )
 from mmaprobe.simulator import (
     BlockFmaConfig,
+    Ordering,
     block_fma,
     exact_oracle,
     max_detectable_carry_bits,
@@ -92,6 +96,36 @@ def test_grid_report_bytes_unchanged(grid_results):
     results, _ = grid_results
     text = "\n".join(report.to_json() for _, report in results)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_REPORTS_SHA256
+
+
+# sha256 of the ``to_json()`` reports below at non-zero scale seeds, joined
+# by newlines in loop order: per (j, t), the four golden presets, then one
+# deferred n_eab=1 binary16->binary32 grid case per (width, ordering) with
+# the rounding-mode pair rotating.  The grid digest pins only j=0.
+SEEDED_REPORTS_SHA256 = \
+    "f19836810e2f1cfe2c9d9cc0da0846f23152b69f1c58d6011a9c54b6e6c00f4d"
+SEEDS = ((-3, 3), (1, 4), (5, 5))
+
+
+def test_seeded_report_bytes_unchanged():
+    """Reports at shifted scale seeds are byte-identical to the pin."""
+    targets = [(load_config(preset), fin, fout)
+               for preset, fin, fout in GOLDEN_PRESETS]
+    for i, (width, ordering) in enumerate(
+            (w, o) for w in WIDTHS for o in Ordering):
+        cfg = BlockFmaConfig(
+            fma_width=width, n_eab=1,
+            n_ecb=max_detectable_carry_bits(
+                width, lookup_format("binary16").precision),
+            rm_intra=RMS[i % 4], rm_inter=RMS[(i + 1) % 4],
+            ordering=ordering, blocks_per_tile=2)
+        targets.append((cfg, "binary16", "binary32"))
+    reports = [infer_features(SimBackend(cfg), fin, fout,
+                              InferOptions(j=j, t=t)).to_json()
+               for j, t in SEEDS for cfg, fin, fout in targets]
+    assert len(reports) == 66
+    text = "\n".join(reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_REPORTS_SHA256
 
 
 def test_criterion_2_published_feature_rows():

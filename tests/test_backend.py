@@ -283,6 +283,13 @@ class TestExecLoopback:
         finally:
             sess.close()
 
+    def test_close_closes_both_child_pipes(self):
+        # A read end left to garbage collection shows as a ResourceWarning.
+        sess = ExecBackend(SERVE_CMD, timeout=30.0)
+        proc = sess._proc
+        sess.close()
+        assert proc.stdin.closed and proc.stdout.closed
+
     def test_huge_timeout_session_answers(self):
         # select() overflows on a wait this long; each wait is capped.
         sess = ExecBackend(SERVE_CMD, timeout=1e12)

@@ -8,6 +8,9 @@ import pytest
 
 from mmaprobe import selftest
 from mmaprobe.cli import main
+from mmaprobe.formats import lookup_format
+from mmaprobe.probes import run_algorithm1
+from mmaprobe.simulator import exact_oracle
 
 AMPERE = "sim:ampere"
 SERVE = f"exec:{sys.executable} -m mmaprobe.cli serve --config ampere"
@@ -16,7 +19,7 @@ SERVE = f"exec:{sys.executable} -m mmaprobe.cli serve --config ampere"
 # exit code in decimal followed by its stdout: vectors, classifier rows,
 # skipped probes and off-grid pairs.
 GEN_VECTORS_SHA256 = \
-    "19859dffa845fba1a38b0e8f03594cdbe7fa8a45dd85b60ed260a9a1be36375b"
+    "3020444b05a2151848384f5811b6b163338613946bc17bccaad93b93287d29d8"
 GEN_VECTORS_PAIRS = (
     ("binary16", "binary32"), ("bfloat16", "binary32"),
     ("TensorFloat32", "binary32"), ("binary16", "binary16"),
@@ -171,6 +174,27 @@ class TestGenVectors:
         assert rec["vectors"][0]["a"] == ["3c00", "1800"]
         assert rec["vectors"][0]["b"] == ["3c00", "0400"]
         assert rec["vectors"][0]["c"] == "3f800001"
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_boundary_search_record_matches_the_scan(self, capsys, k):
+        """The record lists what ``run_algorithm1`` sends at ``k``, and
+        an exact sum for each width vector."""
+        sent = []
+
+        def evaluate(vec):
+            sent.append(vec.label)
+            return exact_oracle(vec.c, *zip(*vec.pairs))
+
+        run_algorithm1(evaluate, lookup_format("binary16"),
+                       lookup_format("binary32"), k)
+        code, out, _ = run(capsys, "gen-vectors", "--probe", "algorithm1",
+                           "--in", "binary16", "--out", "binary32",
+                           "--k", str(k))
+        assert code == 0
+        [rec] = json.loads(out)["records"]
+        labels = [v["label"] for v in rec["vectors"]]
+        assert labels == [l for l in sent if f"[k={k}]" in l]
+        assert len(rec["expected_exact"]) == len(labels) - 1
 
     def test_all_enumerates_in_dependency_order(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "all",

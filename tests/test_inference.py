@@ -1,6 +1,7 @@
 """Inference pipeline, report model, and rendering tests."""
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -422,3 +423,18 @@ class TestRendering:
     def test_schema_tag_checked(self):
         with pytest.raises(ValueError):
             FeatureReport.from_json('{"schema": "other/9"}')
+
+    @pytest.mark.parametrize("name,fobj,message", [
+        ("complete", {"value": 1, "qualifier": "="}, "unknown feature"),
+        ("n_eab", {"value": 1, "qualifier": "~"}, "unknown qualifier"),
+    ])
+    def test_outside_feature_or_qualifier_rejected(self, name, fobj,
+                                                   message):
+        # Accepting them let a name such as ``complete`` be replaced by a
+        # ``Field``, and ``to_json`` then raised.
+        obj = FeatureReport("binary16", "binary32").to_obj()
+        obj["features"][name] = fobj
+        with pytest.raises(ValueError, match=message):
+            FeatureReport.from_obj(obj)
+        with pytest.raises(ValueError, match=message):
+            FeatureReport.from_json(json.dumps(obj))

@@ -1,5 +1,6 @@
 """Probe generator and classifier tests, driven through the simulator."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -427,6 +428,51 @@ class TestScaleCovariance:
     def test_rm_mbfma(self, j):
         probe = gen_rm_mbfma_probe(B16, B32, 8, j=j, n_eab=1)
         assert eval_probe(probe, BlockFmaConfig(rm_inter=RM.RD)).value == "RD"
+
+    BUILDERS = {
+        "post-align": lambda fin, fout, j: [
+            gen_post_alignment_rounding_probe(fin, fout, n, j=j)
+            for n in (0, 1)],
+        "rm-bfma": lambda fin, fout, j: [gen_rm_bfma_probe(fin, fout, j=j)],
+        "align-bits": lambda fin, fout, j: [
+            gen_alignment_bits_probe(fin, fout, n, j=j) for n in (1, 2, 3)],
+        "align-cancel": lambda fin, fout, j: [
+            gen_alignment_cancel_probe(fin, fout, n, j=j) for n in (1, 2)],
+        "ordering": lambda fin, fout, j: [
+            gen_ordering_probe(fin, fout, n, j=j) for n in (1, 4)],
+        "rm-mbfma": lambda fin, fout, j: [
+            gen_rm_mbfma_probe(fin, fout, n, j=j, n_eab=1, live_position=lp)
+            for n, lp in ((1, None), (4, None), (4, 9))],
+        "rm-mbfma-carry": lambda fin, fout, j: [
+            gen_rm_mbfma_probe(fin, fout, n, j=j, n_eab=e, live_position=lp)
+            for n, e, lp in ((1, 0, None), (4, None, None), (4, 0, 9))],
+    }
+
+    @pytest.mark.parametrize("j", [-3, 1, 5])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("fin,fout", [(B16, B32), (BF16, B32),
+                                          (B16, B16)],
+                             ids=lambda f: f.name)
+    def test_values_scale_by_two_to_the_j(self, fin, fout, builder, j):
+        """Seed j multiplies every addend, product and classifier output
+        of the j=0 probe by 2^j and changes labels only in ``j=``."""
+        scale = pow2(j)
+        build = self.BUILDERS[builder]
+        for base, probe in zip(build(fin, fout, 0), build(fin, fout, j)):
+            assert probe.feature == base.feature
+            assert probe.note == base.note
+            assert len(probe.vectors) == len(base.vectors)
+            for vec, ref in zip(probe.vectors, base.vectors):
+                assert f"j={j}" in vec.label
+                assert re.sub(r"j=-?\d+", "j=0", vec.label) == ref.label
+                assert vec.c == ref.c * scale
+                assert vec.k == ref.k
+                assert [a * b for a, b in vec.pairs] \
+                    == [a * b * scale for a, b in ref.pairs]
+            assert [verdict for _, verdict in probe.rows] \
+                == [verdict for _, verdict in base.rows]
+            for (expected, _), (ref, _) in zip(probe.rows, base.rows):
+                assert list(expected) == [x * scale for x in ref]
 
 
 class TestOperandDiscipline:
