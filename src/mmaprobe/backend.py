@@ -29,6 +29,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .formats import (
@@ -146,10 +147,11 @@ class MmaRequest:
     c: str
 
     def to_json(self) -> str:
-        return json.dumps({
-            "id": self.id, "fin": self.fin, "fout": self.fout, "k": self.k,
-            "a": list(self.a), "b": list(self.b), "c": self.c,
-        }, sort_keys=True)
+        """``json.dumps`` of the fields with sorted keys, written directly."""
+        a, b = (", ".join(map(_quote, ops)) for ops in (self.a, self.b))
+        return (f'{{"a": [{a}], "b": [{b}], "c": {_quote(self.c)}, '
+                f'"fin": {_quote(self.fin)}, "fout": {_quote(self.fout)}, '
+                f'"id": {self.id}, "k": {self.k}}}')
 
     @staticmethod
     def from_json(line: str) -> "MmaRequest":
@@ -175,11 +177,10 @@ class MmaReply:
 
     def to_json(self) -> str:
         if self.d is not None:
-            return json.dumps({"id": self.id, "d": self.d}, sort_keys=True)
-        return json.dumps({
-            "id": self.id,
-            "error": {"code": self.error_code, "message": self.error_message},
-        }, sort_keys=True)
+            return f'{{"d": {_quote(self.d)}, "id": {self.id}}}'
+        code = "null" if self.error_code is None else _quote(self.error_code)
+        return (f'{{"error": {{"code": {code}, "message": '
+                f'{_quote(self.error_message)}}}, "id": {self.id}}}')
 
     @staticmethod
     def from_json(line: str) -> "MmaReply":
@@ -190,8 +191,9 @@ class MmaReply:
         if "d" in obj:
             return MmaReply(id=int(obj["id"]), d=str(obj["d"]))
         err = obj.get("error") or {}
+        code = err.get("code", "Internal")
         return MmaReply(id=int(obj["id"]),
-                        error_code=str(err.get("code", "Internal")),
+                        error_code=None if code is None else str(code),
                         error_message=str(err.get("message", "")))
 
 

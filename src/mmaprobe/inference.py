@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .formats import FpFormat, Value, lookup_format
@@ -98,7 +99,7 @@ class FeatureReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
+        return _json_text(self.to_obj())
 
     @staticmethod
     def from_obj(obj: dict) -> "FeatureReport":
@@ -395,14 +396,29 @@ _STAGES = (
 
 # -- rendering ----------------------------------------------------------
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, without the pure-Python
+    encoder that indenting selects; ``pad`` is newline plus indent."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{_quote(key)}: {_json_text(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [inner + _json_text(x, inner) for x in obj]
+        return "[" + ",".join(items) + pad + "]"
+    return json.dumps(obj)  # other leaves and empty containers
+
+
 def render_report(reports, style: str = "table") -> str:
     """Render one report or a list of reports; deterministic output."""
     if isinstance(reports, FeatureReport):
         reports = [reports]
     if style == "structured":
         body = [r.to_obj() for r in reports]
-        return json.dumps({"schema": SCHEMA, "reports": body},
-                          sort_keys=True, indent=2)
+        return _json_text({"schema": SCHEMA, "reports": body})
     if style != "table":
         raise ValueError(f"unknown style {style!r}")
     headers = ["Input", "Output"] + [header for _, header in _FEATURES]

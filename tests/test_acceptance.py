@@ -11,6 +11,7 @@ alignment combination with a rounding-mode subsample, because a full
 """
 
 import hashlib
+import json
 import os
 import random
 import sys
@@ -96,6 +97,15 @@ def test_grid_report_bytes_unchanged(grid_results):
     results, _ = grid_results
     text = "\n".join(report.to_json() for _, report in results)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_REPORTS_SHA256
+
+
+def test_grid_report_writer_equals_json_dumps(grid_results):
+    """Every grid report's text is ``json.dumps`` of its object."""
+    results, _ = grid_results
+    differing = [case for case, report in results
+                 if report.to_json()
+                 != json.dumps(report.to_obj(), sort_keys=True, indent=2)]
+    assert len(results) == 5184 and not differing, differing[:5]
 
 
 # sha256 of the ``to_json()`` reports below at non-zero scale seeds, joined
@@ -252,39 +262,36 @@ def _loopback_cases():
 def test_criterion_8_protocol_loopback(tmp_path):
     """The child-process backend reproduces the in-process reports
     bit-identically, and the preset rows survive the wire."""
+    from concurrent.futures import ThreadPoolExecutor
     from mmaprobe.simulator import config_to_text
     from mmaprobe.presets import preset_text
 
-    failures = []
-    count = 0
-    for idx, case in enumerate(_loopback_cases()):
-        cfg_file = tmp_path / f"case{idx}.cfg"
-        cfg_file.write_text(config_to_text(case.cfg))
-        cmd = f"{sys.executable} -m mmaprobe.cli serve --config {cfg_file}"
-        inproc = infer_features(SimBackend(case.cfg), case.fin, case.fout)
-        child = ExecBackend(cmd, timeout=30.0)
-        try:
-            wire = infer_features(child, case.fin, case.fout)
-        finally:
-            child.close()
-        count += 1
-        if wire.to_json() != inproc.to_json():
-            failures.append(case)
+    jobs = [(f"case{idx}", config_to_text(case.cfg), case.cfg, case.fin,
+             case.fout, case)
+            for idx, case in enumerate(_loopback_cases())]
+    jobs += [(preset, preset_text(preset), load_config(preset), fin, fout,
+              (preset, fin, fout))
+             for preset, fin, fout in GOLDEN_PRESETS]
 
-    for (preset, fin, fout) in GOLDEN_PRESETS:
-        cfg_file = tmp_path / f"{preset}.cfg"
-        cfg_file.write_text(preset_text(preset))
+    def session(job):
+        """The job's failure tag when wire and in-process reports differ."""
+        name, text, cfg, fin, fout, tag = job
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text(text)
         cmd = f"{sys.executable} -m mmaprobe.cli serve --config {cfg_file}"
         child = ExecBackend(cmd, timeout=30.0)
         try:
             wire = infer_features(child, fin, fout)
         finally:
             child.close()
-        count += 1
-        from mmaprobe.presets import load_config
-        inproc = infer_features(SimBackend(load_config(preset)), fin, fout)
-        if wire.to_json() != inproc.to_json():
-            failures.append((preset, fin, fout))
+        inproc = infer_features(SimBackend(cfg), fin, fout)
+        return None if wire.to_json() == inproc.to_json() else tag
+
+    # Two sessions at a time: one child starts while the other answers.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(session, jobs))
+    failures = [tag for tag in outcomes if tag is not None]
+    count = len(outcomes)
 
     ok = not failures
     _line(8, ok, f"wire loopback bit-identical on {count} sessions")

@@ -12,6 +12,8 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmaprobe import backend
 from mmaprobe.backend import (
@@ -118,6 +120,47 @@ class TestWireFormat:
     def test_wrong_field_shape_rejected(self, parse, line):
         with pytest.raises(ValueError, match="bad field"):
             parse(line)
+
+
+# Wire text a peer may send: quotes, backslashes, control characters,
+# non-ASCII, a lone surrogate (JSON's \ud800) and anything else.
+_WIRE_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600\ud800'),
+    st.characters()), max_size=12)
+_WIRE_INT = st.integers(-2 ** 70, 2 ** 70)
+
+
+class TestWireLineText:
+    """The directly written lines equal ``json.dumps(..., sort_keys=True)``
+    of the dicts they replaced, and parse back to the same object."""
+
+    @settings(derandomize=True)
+    @given(_WIRE_INT, _WIRE_TEXT, _WIRE_TEXT,
+           st.lists(st.tuples(_WIRE_TEXT, _WIRE_TEXT), max_size=4),
+           _WIRE_TEXT)
+    def test_request_line(self, id_, fin, fout, pairs, c):
+        a = tuple(x for x, _ in pairs)
+        b = tuple(y for _, y in pairs)
+        req = MmaRequest(id=id_, fin=fin, fout=fout, k=len(pairs), a=a, b=b,
+                         c=c)
+        assert req.to_json() == json.dumps({
+            "id": id_, "fin": fin, "fout": fout, "k": len(pairs),
+            "a": list(a), "b": list(b), "c": c}, sort_keys=True)
+        assert MmaRequest.from_json(req.to_json()) == req
+
+    @settings(derandomize=True)
+    @given(_WIRE_INT, _WIRE_TEXT, st.one_of(st.none(), _WIRE_TEXT),
+           _WIRE_TEXT)
+    def test_reply_lines(self, id_, d, code, message):
+        ok = MmaReply(id_, d=d)
+        assert ok.to_json() == json.dumps({"id": id_, "d": d},
+                                          sort_keys=True)
+        err = MmaReply(id_, error_code=code, error_message=message)
+        assert err.to_json() == json.dumps({
+            "id": id_, "error": {"code": code, "message": message}},
+            sort_keys=True)
+        for reply in (ok, err):
+            assert MmaReply.from_json(reply.to_json()) == reply
 
 
 class TestSimBackend:

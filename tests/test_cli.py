@@ -19,7 +19,7 @@ SERVE = f"exec:{sys.executable} -m mmaprobe.cli serve --config ampere"
 # exit code in decimal followed by its stdout: vectors, classifier rows,
 # skipped probes and off-grid pairs.
 GEN_VECTORS_SHA256 = \
-    "3020444b05a2151848384f5811b6b163338613946bc17bccaad93b93287d29d8"
+    "8eb2100017448fedfb94e13af458a51571046920d83073e6cd52caaf0f3ecbfc"
 GEN_VECTORS_PAIRS = (
     ("binary16", "binary32"), ("bfloat16", "binary32"),
     ("TensorFloat32", "binary32"), ("binary16", "binary16"),
@@ -175,26 +175,39 @@ class TestGenVectors:
         assert rec["vectors"][0]["b"] == ["3c00", "0400"]
         assert rec["vectors"][0]["c"] == "3f800001"
 
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_boundary_search_record_matches_the_scan(self, capsys, k):
-        """The record lists what ``run_algorithm1`` sends at ``k``, and
-        an exact sum for each width vector."""
+    @pytest.mark.parametrize("fin, fout, k", [
+        pytest.param("binary16", "binary32", 2, id="2"),
+        pytest.param("binary16", "binary32", 5, id="5"),
+        # From k=9 the bfloat16 carry addend needs 12 significand bits and
+        # binary16 has 11: the scan sends only the width vectors.
+        pytest.param("bfloat16", "binary16", 9, id="bfloat16-binary16-9"),
+        pytest.param("bfloat16", "binary16", 12, id="bfloat16-binary16-12"),
+        pytest.param("bfloat16", "binary16", 16, id="bfloat16-binary16-16"),
+    ])
+    def test_boundary_search_record_matches_the_scan(self, capsys, fin,
+                                                     fout, k):
+        """The record lists what ``run_algorithm1`` sends at ``k``, an
+        exact sum for each width vector, and why a carry test is not sent."""
         sent = []
 
         def evaluate(vec):
             sent.append(vec.label)
             return exact_oracle(vec.c, *zip(*vec.pairs))
 
-        run_algorithm1(evaluate, lookup_format("binary16"),
-                       lookup_format("binary32"), k)
+        run_algorithm1(evaluate, lookup_format(fin), lookup_format(fout), k)
         code, out, _ = run(capsys, "gen-vectors", "--probe", "algorithm1",
-                           "--in", "binary16", "--out", "binary32",
-                           "--k", str(k))
+                           "--in", fin, "--out", fout, "--k", str(k))
         assert code == 0
         [rec] = json.loads(out)["records"]
         labels = [v["label"] for v in rec["vectors"]]
         assert labels == [l for l in sent if f"[k={k}]" in l]
-        assert len(rec["expected_exact"]) == len(labels) - 1
+        carry = f"carry[k={k}]"
+        assert len(rec["expected_exact"]) == len(labels) - (carry in labels)
+        if carry in labels:
+            assert labels[-1] == carry and "carry_skipped" not in rec
+        else:
+            assert rec["carry_skipped"] == \
+                f"addend of {carry} not exact in {fout}"
 
     def test_all_enumerates_in_dependency_order(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "all",
@@ -261,17 +274,17 @@ class TestGenVectors:
         assert skipped[probe] == why
 
     def test_rounded_vector_is_not_exported(self, capsys):
-        # The carry[k=9] addend needs 12 significand bits; binary16 has 11.
-        args = ("gen-vectors", "--in", "bfloat16", "--out", "binary16",
-                "--k", "9")
-        code, out, err = run(capsys, *args, "--probe", "algorithm1")
-        assert code == 64
-        assert "carry[k=9] not exact in binary16" in err and out == ""
+        # At j=14 an RM-BFMA classifier row overflows binary16.
+        args = ("gen-vectors", "--in", "binary16", "--out", "binary16",
+                "--j", "14")
+        why = "rm_bfma classifier row not exact in binary16"
+        code, out, err = run(capsys, *args, "--probe", "rm_bfma")
+        assert (code, out, err) == (64, "", f"error: {why}\n")
         code, out, _ = run(capsys, *args, "--probe", "all")
         assert code == 0
         skipped = {r["probe"]: r["skipped"]
                    for r in json.loads(out)["records"] if "skipped" in r}
-        assert "carry[k=9] not exact in binary16" in skipped["algorithm1"]
+        assert skipped["rm_bfma"] == why
 
     def test_unknown_probe(self, capsys):
         code, _, err = run(capsys, "gen-vectors", "--probe", "warp_speed",

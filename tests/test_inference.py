@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmaprobe import inference, probes
 from mmaprobe.backend import ExecBackend, MmaReply, SimBackend, _vector_hex
@@ -18,6 +20,7 @@ from mmaprobe.inference import (
     Field,
     InferOptions,
     _STAGES,
+    _json_text,
     infer_features,
     parse_report,
     render_report,
@@ -438,3 +441,80 @@ class TestRendering:
             FeatureReport.from_obj(obj)
         with pytest.raises(ValueError, match=message):
             FeatureReport.from_json(json.dumps(obj))
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+# Text with quotes, backslashes, control characters and non-ASCII.
+AWKWARD = ('a "quoted" \\ back\x00slash\ttab\nline '
+           '\u00e9\u2264\u2028 \U0001f600')
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12)
+
+
+class TestReportWriter:
+    """The report writer is ``json.dumps(obj, sort_keys=True, indent=2)``
+    byte for byte; the grid's reports are checked in the acceptance suite."""
+
+    @settings(derandomize=True)
+    @given(_JSON)
+    def test_any_json_value(self, obj):
+        assert _json_text(obj) == _dumps(obj)
+
+    def test_golden_and_soundness_slice_reports(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        from workloads import soundness_slice
+
+        jobs = [(load_config(preset), fin, fout)
+                for preset, fin, fout in GOLDEN_PRESETS]
+        jobs += [(case.cfg, case.fin, case.fout) for case in soundness_slice()]
+        for cfg, fin, fout in jobs:
+            rep = infer_features(SimBackend(cfg), fin, fout)
+            assert rep.to_json() == _dumps(rep.to_obj())
+
+    def test_aborted_and_empty_reports(self):
+        class Dying(SimBackend):
+            def evaluate(self, req):
+                if req.id > 3:
+                    from mmaprobe.backend import TransportError
+                    raise TransportError("child died")
+                return super().evaluate(req)
+
+        aborted = infer_features(Dying(BlockFmaConfig()), "binary16",
+                                 "binary32")
+        assert not aborted.complete
+        empty = FeatureReport("binary16", "binary32")
+        assert empty.notes == [] and empty.evidence == []
+        for rep in (aborted, empty):
+            assert rep.to_json() == _dumps(rep.to_obj())
+
+    def test_awkward_reasons_and_notes(self):
+        rep = infer(load_config("ampere"))
+        rep.n_eab = Field(2, QUAL_AT_LEAST, AWKWARD)
+        rep.ordering = Field.undetermined(AWKWARD)
+        rep.notes.extend([AWKWARD, ""])
+        assert rep.to_json() == _dumps(rep.to_obj())
+
+    def test_parsed_report_with_extra_key_and_float_value(self):
+        obj = infer(load_config("volta_like")).to_obj()
+        obj["evidence"][0]["device"] = {"clock_mhz": 1410.5, "ids": [3, 1]}
+        obj["features"]["n_ecb"]["value"] = 2.5
+        rep = FeatureReport.from_obj(obj)
+        assert rep.to_json() == _dumps(obj)
+
+    def test_structured_rendering(self):
+        reps = [infer(load_config("ampere")),
+                infer(load_config("tf32_ampere"), fin="TensorFloat32")]
+        reps[0].notes.append(AWKWARD)
+        for body in (reps, reps[:1], []):
+            text = render_report(body, "structured")
+            assert text == _dumps({"schema": inference.SCHEMA,
+                                   "reports": [r.to_obj() for r in body]})
+            assert [r.to_json() for r in parse_report(text)] \
+                == [r.to_json() for r in body]
