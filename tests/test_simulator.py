@@ -1,5 +1,6 @@
 """Block-FMA model tests: published behaviours, oracle equivalence, bounds."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from mmaprobe.formats import (
     NAN,
     NEG_INF,
+    NEG_ZERO,
     ONE,
     POS_INF,
     REGISTRY,
     ZERO,
     Dyadic,
     RoundingMode,
+    decode,
     pow2,
     round_to_precision,
 )
@@ -211,6 +214,71 @@ class TestMmaDot:
         for c, a, b, want in cases:
             assert mma_dot(c, a, b, cfg, B32) is want, (c, a, b)
 
+    @pytest.mark.parametrize("ordering", list(Ordering),
+                             ids=lambda o: o.value)
+    def test_specials_in_different_blocks(self, ordering):
+        # Width two, two blocks: each special sits in a block of its own,
+        # with finite company, and the addend is finite.
+        cfg = cfgd(fma_width=2, blocks_per_tile=2, ordering=ordering)
+        cases = [
+            ([NAN, ONE, POS_INF, ONE], [ONE] * 4, NAN),
+            ([ONE, POS_INF, ONE, NAN], [ONE] * 4, NAN),
+            ([POS_INF, ONE, NEG_INF, ONE], [ONE] * 4, NAN),
+            ([ONE, NEG_INF, POS_INF, ONE], [ONE] * 4, NAN),
+            ([POS_INF, ONE, ONE, ONE], [ZERO, ONE, ONE, ONE], NAN),
+            ([ONE, ONE, ONE, ZERO], [ONE, ONE, ONE, NEG_INF], NAN),
+            ([POS_INF, ONE, ONE, POS_INF], [ONE, ONE, ONE, ONE], POS_INF),
+            ([ONE, ONE, NEG_INF, ONE], [ONE, ONE, ONE, ONE], NEG_INF),
+        ]
+        for c in (ZERO, ONE):
+            for a, b, want in cases:
+                assert mma_dot(c, a, b, cfg, B32) is want, (c, a, b)
+        # The addend's own infinity meets a product's in the other block.
+        assert mma_dot(NEG_INF, [ONE, ONE, POS_INF, ONE], [ONE] * 4,
+                       cfg, B32) is NAN
+        assert mma_dot(POS_INF, [ONE, ONE, POS_INF, ONE], [ONE] * 4,
+                       cfg, B32) is POS_INF
+
+    @pytest.mark.parametrize("ordering", list(Ordering),
+                             ids=lambda o: o.value)
+    def test_negative_zero_sum_per_block_layout(self, ordering):
+        # A -0 addend and -0 products: -0 survives only when the addend's
+        # block is the one and only block.  TreeThenC adds c to a block
+        # result started from +0, and a second block starts from +0.
+        cfg = cfgd(fma_width=2, blocks_per_tile=2, ordering=ordering)
+        one_block = mma_dot(NEG_ZERO, [NEG_ZERO, ZERO], [ONE, -ONE],
+                            cfg, B32)
+        two_blocks = mma_dot(NEG_ZERO, [NEG_ZERO, ZERO, NEG_ZERO],
+                             [ONE, -ONE, ONE], cfg, B32)
+        empty = mma_dot(NEG_ZERO, [], [], cfg, B32)
+        tree = ordering is Ordering.TREE_THEN_C
+        for d, want_sign in ((one_block, 1 if tree else -1),
+                             (empty, 1 if tree else -1),
+                             (two_blocks, 1)):
+            assert d.is_zero and d.sign == want_sign, (d, want_sign)
+        # One +0 product or a +0 addend gives +0 in every layout.
+        d = mma_dot(NEG_ZERO, [NEG_ZERO, ZERO], [ONE, ONE], cfg, B32)
+        assert d.is_zero and d.sign == 1
+        d = mma_dot(ZERO, [NEG_ZERO], [ONE], cfg, B32)
+        assert d.is_zero and d.sign == 1
+
+    @pytest.mark.parametrize("ordering", list(Ordering),
+                             ids=lambda o: o.value)
+    def test_finite_block_overflow_raises_beside_a_special(self, ordering):
+        # Each block's headroom is checked on its own, so a finite block
+        # that overflows raises even when the other block holds a NaN.
+        big = Dyadic.from_int(2) - pow2(-10)
+        cfg = BlockFmaConfig(fma_width=2, n_eab=0, n_ecb=0,
+                             ordering=ordering,
+                             carry_overflow=CarryOverflow.ERROR)
+        with pytest.raises(CarryOverflowError):
+            mma_dot(ZERO, [big, big, NAN, ONE], [ONE] * 4, cfg, B32)
+        with pytest.raises(CarryOverflowError):
+            mma_dot(ZERO, [NAN, ONE, big, big], [ONE] * 4, cfg, B32)
+        # The overflowing pair shares its block with the special: no check.
+        assert mma_dot(ZERO, [big, POS_INF, big, ONE], [big, ONE, ONE, ZERO],
+                       cfg, B32) is POS_INF
+
     def test_length_mismatch(self):
         with pytest.raises(SizeContract):
             mma_dot(ZERO, [ONE], [], cfgd(), B32)
@@ -397,3 +465,83 @@ def test_config_parse_errors():
 def test_config_comments_and_blanks():
     cfg = config_from_text("# comment\n\nfma_width = 2  # trailing\n")
     assert cfg.fma_width == 2
+
+
+# -- pinned outputs over configurations off the selftest grid -------------
+
+# sha256 of the ``mma_dot`` outputs below (``repr`` of the value, or the
+# name of the exception raised), joined by newlines.
+MMA_DOT_PIN_SHA256 = \
+    "4aa76fcb68321e837cb3b3516941a99f97a4a149be23e87784fbd4f41f4890b4"
+
+PIN_PAIRS = [(REGISTRY[i], REGISTRY[o]) for i, o in (
+    ("binary16", "binary32"), ("bfloat16", "binary32"),
+    ("TensorFloat32", "binary32"), ("binary16", "binary16"))]
+
+
+def pin_value(rng, fmt, centre, specials):
+    """A random ``fmt`` value: mostly normals whose biased exponent lies
+    near ``centre``, plus zeros of both signs, subnormals and, when
+    ``specials``, an occasional NaN or infinity."""
+    frac_w = fmt.precision - 1
+    top = (1 << fmt.exp_bits) - 1
+    roll = rng.random()
+    if specials and roll < 0.05:
+        biased = top
+    elif roll < 0.15:
+        biased = 0
+    else:
+        biased = min(max(centre + rng.randrange(-5, 6), 1), top - 1)
+    frac = rng.randrange(1 << frac_w) if rng.random() < 0.7 else 0
+    if biased == top and rng.random() < 0.7:
+        frac = 0  # infinities more often than NaN
+    bits = (rng.getrandbits(1) << (fmt.storage_bits - 1)) \
+        | (((biased << frac_w) | frac) << fmt.pad_bits)
+    return decode(bits, fmt)
+
+
+def pin_case(rng):
+    cfg = BlockFmaConfig(
+        fma_width=rng.randrange(1, 17), n_eab=rng.randrange(0, 4),
+        n_ecb=rng.randrange(0, 5), blocks_per_tile=rng.randrange(1, 5),
+        alignment_policy=rng.choice(list(AlignmentPolicy)),
+        norm_policy=rng.choice(list(NormPolicy)),
+        rm_intra=rng.choice(list(RoundingMode)),
+        rm_inter=rng.choice(list(RoundingMode)),
+        ordering=rng.choice(list(Ordering)),
+        carry_overflow=rng.choice(list(CarryOverflow)))
+    fin, fout = rng.choice(PIN_PAIRS)
+    k = rng.randrange(cfg.max_k + 1)
+    mode = rng.random()
+    specials = mode < 0.15
+    # Near the bottom of the exponent range products meet the subnormals.
+    centre = rng.choice((fin.bias, fin.bias, 1, 3))
+    a = [pin_value(rng, fin, centre, specials) for _ in range(k)]
+    b = [pin_value(rng, fin, fin.bias, specials) for _ in range(k)]
+    c = pin_value(rng, fout, fout.bias + 2 * (centre - fin.bias), specials)
+    if mode > 0.9:
+        # Signed zeros only: the sign rule of an all-zero sum decides.
+        a = [rng.choice((ZERO, NEG_ZERO)) for _ in range(k)]
+        c = rng.choice((ZERO, NEG_ZERO))
+    elif mode > 0.8:
+        # Same-sign products on one binade: the carry headroom fills up.
+        a = [abs(x) if isinstance(x, Dyadic) else x for x in a]
+        b = [ONE] * k
+    return c, a, b, cfg, fout
+
+
+def pin_output(case) -> str:
+    try:
+        return repr(mma_dot(*case))
+    except CarryOverflowError as e:
+        return type(e).__name__
+
+
+def test_mma_dot_outputs_pinned():
+    rng = random.Random(14)
+    outs = [pin_output(pin_case(rng)) for _ in range(4000)]
+    # The sample reaches each kind of output the grid digest cannot.
+    for kind in ("NaN", "+Inf", "-Inf", "-0", "0", "CarryOverflowError"):
+        assert kind in outs, kind
+    digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()
+    assert digest == MMA_DOT_PIN_SHA256
