@@ -28,6 +28,7 @@ import select
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
@@ -398,7 +399,6 @@ class _LinePipe:
             raise TransportError(f"child stdin closed: {e}") from e
 
     def read_line(self, timeout: float) -> str:
-        import time
         deadline = time.monotonic() + timeout
         fd = self.proc.stdout.fileno()
         end = self._buf.find(b"\n")

@@ -181,14 +181,26 @@ _GEN_VECTORS = {
 def cmd_probe(args) -> int:
     fin = _format_or_die(args.infmt)
     fout = _format_or_die(args.outfmt)
+    opts = InferOptions(k_max=args.kmax)
+    if args.seed_params is not None:
+        opts.j, opts.t = args.seed_params
+        # Given j,t are wrong where they break a probe that needs no width
+        # and builds at the defaults; what no j,t builds, the report marks.
+        for build in (lambda o: gen_rm_bfma_probe(fin, fout, o.j),
+                      lambda o: gen_normalisation_probe(
+                          fin, fout, "carry_and_align", o.t)):
+            try:
+                build(InferOptions())
+            except NotFactorable:
+                continue
+            try:
+                build(opts)
+            except NotFactorable as e:
+                print(f"error: --seed-params: {e}", file=sys.stderr)
+                return EX_USAGE
     session = _backend_or_die(args)
-    j, t = args.seed_params
-    opts = InferOptions(k_max=args.kmax, j=j, t=t)
     try:
         report = infer_features(session, fin.name, fout.name, opts)
-    except NotFactorable as e:
-        print(f"error: --seed-params: {e}", file=sys.stderr)
-        return EX_USAGE
     finally:
         session.close()
     if args.stamp:
@@ -317,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="table")
     p.add_argument("--kmax", type=_kmax, default=64,
                    help="largest shared dimension the width scan tries")
-    p.add_argument("--seed-params", type=_seed_params, default=(0, 3),
-                   metavar="j,t", help="scale exponent and gap parameter")
+    p.add_argument("--seed-params", type=_seed_params, metavar="j,t",
+                   help="scale exponent and gap parameter (default 0,3)")
     p.add_argument("--stamp", action="store_true",
                    help="append a generation timestamp note (reports are "
                         "otherwise byte-identical across runs)")

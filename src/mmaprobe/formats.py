@@ -259,10 +259,10 @@ def sum_of_pow2(exponents) -> Dyadic:
 
 
 def _round_sig(sig: int, shift: int, sign: int, rm: RoundingMode) -> int:
-    """Round away ``shift > 0`` low bits of an odd ``sig`` (sign-magnitude)."""
+    """Round away ``shift > 0`` low bits of ``sig`` (sign-magnitude)."""
     kept = sig >> shift
     rem = sig & ((1 << shift) - 1)
-    if rm in (RoundingMode.RZ, RoundingMode.TRUNCATE):
+    if rem == 0 or rm in (RoundingMode.RZ, RoundingMode.TRUNCATE):
         return kept
     if rm is RoundingMode.RU:
         return kept + 1 if sign > 0 else kept

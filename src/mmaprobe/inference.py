@@ -24,6 +24,7 @@ from .probes import (
     QUAL_UNDETERMINED,
     Algorithm1Result,
     Field,
+    NotFactorable,
     Probe,
     ProbeVector,
     gen_alignment_bits_probe,
@@ -178,7 +179,7 @@ def infer_features(session, fin_name: str, fout_name: str,
         for name, stage in _STAGES:
             try:
                 field = stage(state)
-            except (UnsupportedError, InternalError) as e:
+            except (UnsupportedError, InternalError, NotFactorable) as e:
                 field = Field.undetermined(str(e))
             setattr(report, name, field)
         undet = sum(1 for f in report.field_map().values()

@@ -19,7 +19,7 @@ ordering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .formats import (
@@ -33,8 +33,7 @@ from .formats import (
     RoundingMode,
     Special,
     Value,
-    round_to_grid,
-    round_to_precision,
+    _round_sig,
 )
 
 __all__ = [
@@ -152,28 +151,25 @@ def exact_products(a: Sequence[Value], b: Sequence[Value],
     if 2 * fin.precision <= fout.precision:
         return
     for x, y in zip(a, b):
-        if isinstance(x, Special) or isinstance(y, Special):
-            continue
-        r = x * y
-        if r.bit_count > fout.precision:
+        # Canonical significands are odd, and so is their product.
+        if isinstance(x, Dyadic) and isinstance(y, Dyadic) \
+                and (x.sig * y.sig).bit_length() > fout.precision:
             raise FormatContract(
-                f"product {r!r} needs more than {fout.precision} bits and "
+                f"product {x * y!r} needs more than {fout.precision} bits and "
                 f"2*p_in > p_out for {fin.name}->{fout.name}")
 
 
 def exact_oracle(c: Dyadic, a: Sequence[Dyadic],
                  b: Sequence[Dyadic]) -> Dyadic:
     """Unrounded c + sum(a_l * b_l) as an exact Dyadic."""
-    for x, y in zip(a, b):
-        c = c + x * y
-    return c
+    return sum((x * y for x, y in zip(a, b)), c)
 
 
-def _resolve_specials(c: Value, products: Sequence[Value]) -> Optional[Value]:
-    """IEEE-like special propagation over the addend set; None if all finite."""
+def _resolve_specials(addends) -> Optional[Special]:
+    """IEEE-like special propagation over the addends; None if all finite."""
     inf_sign = 0
-    for v in (c, *products):
-        if isinstance(v, Special):
+    for v in addends:
+        if type(v) is Special:  # isinstance() on an enum class is slower
             if v.is_nan:
                 return NAN
             if inf_sign and inf_sign != v.sign:
@@ -184,28 +180,34 @@ def _resolve_specials(c: Value, products: Sequence[Value]) -> Optional[Value]:
     return None
 
 
-def _special_product(x: Value, y: Value) -> Value:
-    """Product honoring NaN and Inf*0 rules; exact Dyadic when finite."""
-    x_special = isinstance(x, Special)
-    y_special = isinstance(y, Special)
-    if not x_special and not y_special:
-        return x * y
-    if (x_special and x.is_nan) or (y_special and y.is_nan):
-        return NAN
-    # One or both infinite.
-    if (x_special and not y_special and y.is_zero) or \
-       (y_special and not x_special and x.is_zero):
-        return NAN
-    sx = x.sign if x_special else (1 if x.sign > 0 else -1)
-    sy = y.sign if y_special else (1 if y.sign > 0 else -1)
-    return POS_INF if sx * sy > 0 else NEG_INF
+def _special_product(x: Value, y: Value) -> Special:
+    """Product of two values at least one of which is special."""
+    if x is NAN or y is NAN or (isinstance(x, Dyadic) and x.is_zero) \
+            or (isinstance(y, Dyadic) and y.is_zero):
+        return NAN  # a NaN operand, or Inf * 0
+    return POS_INF if x.sign * y.sign > 0 else NEG_INF
 
 
-def _signed_zero_sum(addends: Sequence[Dyadic]) -> Dyadic:
-    """Zero result sign: -0 only when every addend is a negative zero."""
-    if addends and all(v.is_zero and v.sign == -1 for v in addends):
-        return NEG_ZERO
-    return ZERO
+# The datapath below runs on signed-integer terms ``(m, e)`` meaning
+# ``m * 2**e``, not necessarily canonical.  A zero term has no sign;
+# ``mma_dot`` signs a zero result from the operands.
+def _product_terms(a: Sequence[Value], b: Sequence[Value]) -> list:
+    """Each exact product as a term, or as its special value."""
+    return [(x.sign * y.sign * x.sig * y.sig, x.exp + y.exp)
+            if isinstance(x, Dyadic) and isinstance(y, Dyadic)
+            else _special_product(x, y) for x, y in zip(a, b)]
+
+
+def _drop_bits(m: int, shift: int, rm: RoundingMode) -> int:
+    """Signed ``m`` with its ``shift > 0`` low bits rounded away under rm."""
+    return -_round_sig(-m, shift, -1, rm) if m < 0 else \
+        _round_sig(m, shift, 1, rm)
+
+
+def _round_term(m: int, e: int, p: int, rm: RoundingMode) -> tuple:
+    """Round the term to at most ``p`` significand bits."""
+    shift = m.bit_length() - p
+    return (_drop_bits(m, shift, rm), e + shift) if shift > 0 else (m, e)
 
 
 def _apply_headroom(total: int, cfg: BlockFmaConfig, p_out: int) -> int:
@@ -229,65 +231,43 @@ def _apply_headroom(total: int, cfg: BlockFmaConfig, p_out: int) -> int:
     return ((total + limit) % span) - limit
 
 
-def _aligned_sum(addends: Sequence[Dyadic], cfg: BlockFmaConfig,
-                 p_out: int, check_headroom: bool) -> Dyadic:
-    """Align addends to the max exponent, sum exactly, return the raw value."""
-    live = [v for v in addends if not v.is_zero]
+def _add(terms: Sequence[tuple], cfg: BlockFmaConfig, p_out: int,
+         rm: RoundingMode, headroom: bool = False) -> tuple:
+    """Sum the terms on a grid ``p_out - 1 + n_eab`` fraction bits below
+    the largest one's leading bit, then round to ``p_out`` bits.  Only a
+    block checks ``headroom``: an adder normalises its carry-out."""
+    live = [t for t in terms if t[0]]
     if not live:
-        return _signed_zero_sum(addends)
-    ref = max(v.floor_log2 for v in live)
-    grid = ref - (p_out - 1) - cfg.n_eab
+        return 0, 0
+    grid = max(m.bit_length() + e for m, e in live) - p_out - cfg.n_eab
     policy = cfg.alignment_policy.rounding
-    total = 0
-    for v in live:
-        aligned = round_to_grid(v, grid, policy)
-        if not aligned.is_zero:
-            total += aligned.sign * (aligned.sig << (aligned.exp - grid))
-    if check_headroom:
+    total = sum(m << (e - grid) if e >= grid
+                else _drop_bits(m, grid - e, policy) for m, e in live)
+    if headroom:
         total = _apply_headroom(total, cfg, p_out)
-    if total == 0:
-        return ZERO
-    return Dyadic.make(1 if total > 0 else -1, abs(total), grid)
+    return _round_term(total, grid, p_out, rm)
 
 
-def _fp_add_limited(x: Dyadic, y: Dyadic, cfg: BlockFmaConfig, p_out: int,
-                    rm: RoundingMode) -> Dyadic:
-    """Two-operand addition through the limited-alignment datapath.
-
-    A standalone adder always normalises its carry-out, so no headroom
-    check applies here.
-    """
-    raw = _aligned_sum((x, y), cfg, p_out, check_headroom=False)
-    return round_to_precision(raw, p_out, rm)
+def _block(addends: list, cfg: BlockFmaConfig, p_out: int) -> tuple:
+    """One block over its addends, accumulator input first: deferred
+    mode rounds once, immediate mode after every addition."""
+    rm = cfg.rm_intra
+    if cfg.norm_policy is NormPolicy.DEFERRED:
+        return _add(addends, cfg, p_out, rm, headroom=True)
+    acc = addends[0]
+    for t in addends[1:]:
+        acc = _add((acc, t), cfg, p_out, rm)
+    return _round_term(*acc, p_out, rm)
 
 
 def block_fma(c: Value, a: Sequence[Value], b: Sequence[Value],
               cfg: BlockFmaConfig, fout: FpFormat) -> Value:
-    """One block FMA: d = round(c + sum(a_l * b_l)) per the configured model.
-
-    Specials propagate by IEEE-like rules.  Deferred mode accumulates all
-    aligned addends exactly (within headroom) and rounds once; immediate
-    mode folds left, normalising and rounding after every addition.
-    """
-    if len(a) != len(b):
-        raise SizeContract("operand lists differ in length")
-    if len(a) > cfg.fma_width:
+    """One block FMA: d = round(c + sum(a_l * b_l)) per the configured model,
+    which is ``mma_dot`` on one block that takes the addend."""
+    if len(a) == len(b) > cfg.fma_width:
         raise SizeContract(
             f"{len(a)} products exceed fma_width={cfg.fma_width}")
-    products = [_special_product(x, y) for x, y in zip(a, b)]
-    special = _resolve_specials(c, products)
-    if special is not None:
-        return special
-    p_out = fout.precision
-
-    if cfg.norm_policy is NormPolicy.DEFERRED:
-        raw = _aligned_sum((c, *products), cfg, p_out, check_headroom=True)
-        return round_to_precision(raw, p_out, cfg.rm_intra)
-
-    acc = c
-    for r in products:
-        acc = _fp_add_limited(acc, r, cfg, p_out, cfg.rm_intra)
-    return round_to_precision(acc, p_out, cfg.rm_intra)
+    return mma_dot(c, a, b, replace(cfg, ordering=Ordering.C_FIRST), fout)
 
 
 def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
@@ -297,7 +277,8 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
     Products are split into ``fma_width`` chunks; the block holding the
     accumulator input and the combine order follow ``cfg.ordering``; block
     results merge pairwise through the limited two-operand adder under
-    ``rm_inter``.
+    ``rm_inter``.  Specials propagate whatever the grouping, so they are
+    resolved once over all products.
     """
     if len(a) != len(b):
         raise SizeContract("operand lists differ in length")
@@ -306,34 +287,39 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
         raise SizeContract(
             f"k={k} exceeds tile capacity {cfg.max_k} "
             f"({cfg.fma_width} x {cfg.blocks_per_tile} blocks)")
+    terms = _product_terms(a, b)
     w = cfg.fma_width
-    chunks = [(a[i:i + w], b[i:i + w]) for i in range(0, k, w)] or [((), ())]
+    # Each block starts from +0 except the one that takes c.
+    blocks = [[(0, 0), *terms[i:i + w]] for i in range(0, k, w)] or [[(0, 0)]]
+    if cfg.ordering is Ordering.C_WITH_LAST:
+        blocks.reverse()
+    tree = cfg.ordering is Ordering.TREE_THEN_C  # c joins the block sum last
+    cterm = (c.sign * c.sig, c.exp) if isinstance(c, Dyadic) else c
+    if not tree:
+        blocks[0][0] = cterm
     p_out = fout.precision
+    special = _resolve_specials((c, *terms))
+    if special is not None:
+        if cfg.carry_overflow is CarryOverflow.ERROR:
+            # A block without specials still checks its own headroom.
+            for blk in blocks:
+                if _resolve_specials(blk) is None:
+                    _block(blk, cfg, p_out)
+        return special
 
-    def run_block(cin: Value, chunk) -> Value:
-        return block_fma(cin, chunk[0], chunk[1], cfg, fout)
-
-    def combine(x: Value, y: Value) -> Value:
-        special = _resolve_specials(x, (y,))
-        if special is not None:
-            return special
-        return _fp_add_limited(x, y, cfg, p_out, cfg.rm_inter)
-
-    if cfg.ordering is Ordering.C_FIRST:
-        acc = run_block(c, chunks[0])
-        rest = chunks[1:]
-    elif cfg.ordering is Ordering.C_WITH_LAST:
-        acc = run_block(c, chunks[-1])
-        rest = list(reversed(chunks[:-1]))
-    else:  # TREE_THEN_C: blocks fold among themselves, c joins last.
-        acc = run_block(ZERO, chunks[0])
-        rest = chunks[1:]
-
-    for chunk in rest:
-        acc = combine(acc, run_block(ZERO, chunk))
-    if cfg.ordering is Ordering.TREE_THEN_C:
-        acc = combine(c, acc)
-    return acc
+    acc = _block(blocks[0], cfg, p_out)
+    for blk in blocks[1:]:
+        acc = _add((acc, _block(blk, cfg, p_out)), cfg, p_out, cfg.rm_inter)
+    if tree:
+        acc = _add((cterm, acc), cfg, p_out, cfg.rm_inter)
+    m, e = acc
+    if m:
+        return Dyadic.make(1 if m > 0 else -1, abs(m), e)
+    # -0 needs c and every product -0 in one block that no +0 joins.
+    if len(blocks) == 1 and not tree and c.sig == 0 and c.sign < 0 and all(
+            x.sig * y.sig == 0 and x.sign != y.sign for x, y in zip(a, b)):
+        return NEG_ZERO
+    return ZERO
 
 
 # -- config file round-trip -------------------------------------------

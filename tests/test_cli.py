@@ -100,6 +100,29 @@ class TestProbeCommand:
         assert code == 64
         assert err.startswith("error: ") and out == ""
 
+    def test_unfactorable_probe_leaves_field_undetermined(self, capsys):
+        # binary16 operands cannot make the width scan's 2^-52 products,
+        # so the width and what depends on it stay undetermined; no
+        # --seed-params was given, so this is a report, not a usage error.
+        code, out, err = run(capsys, "probe", "--backend", AMPERE,
+                             "--in", "binary16", "--out", "binary64",
+                             "--report", "structured")
+        assert code == 2 and err == ""
+        (report,) = json.loads(out)["reports"]
+        assert report["complete"]
+        assert report["features"]["fma_width"] == {
+            "qualifier": "?", "value": None,
+            "reason": "exponent -52 unreachable in binary16"}
+        assert report["features"]["subnormal_in"]["qualifier"] == "="
+
+    def test_default_seed_params_given_explicitly(self, capsys):
+        # The defaults cannot express every probe for this pair either, so
+        # naming them is no usage error.
+        code, out, err = run(capsys, "probe", "--backend", AMPERE,
+                             "--in", "binary16", "--out", "binary64",
+                             "--seed-params", "0,3")
+        assert code == 2 and err == "" and "binary64" in out
+
     def test_small_gap_seed_params_usage_error(self, capsys):
         code, out, err = run(capsys, "probe", "--backend", AMPERE,
                              "--in", "binary16", "--out", "binary32",

@@ -30,6 +30,7 @@ from mmaprobe.formats import (
     NO_FLAGS,
     RoundingMode,
     Special,
+    _round_sig,
     bits_to_hex,
     decode,
     encode,
@@ -145,6 +146,17 @@ class TestRounding:
         w = -(Dyadic.from_int(2) - pow2(-27))
         assert round_to_precision(w, 24, RoundingMode.RNE) \
             == Dyadic.from_int(-2)
+
+    @pytest.mark.parametrize("rm", ALL_RMS, ids=lambda rm: rm.value)
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_exact_even_significand_kept(self, sign, rm):
+        # An even significand whose dropped bits are all zero is already
+        # on the grid, so every mode keeps it, directed modes included.
+        for sig, shift in ((0b1100, 2), (0b101000, 3), (1 << 30, 30)):
+            assert _round_sig(sig, shift, sign, rm) == sig >> shift
+        # One set bit among the dropped ones still rounds.
+        up = RoundingMode.RU if sign > 0 else RoundingMode.RD
+        assert _round_sig(0b1101, 2, sign, up) == 0b100
 
     @given(dyadics(max_bits=40, max_exp=40), st.integers(-60, 60),
            st.sampled_from(ALL_RMS))
