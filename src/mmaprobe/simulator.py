@@ -19,6 +19,7 @@ ordering.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -63,7 +64,7 @@ class AlignmentPolicy(enum.Enum):
     RU = "RU"
     RD = "RD"
 
-    @property
+    @functools.cached_property  # RoundingMode(value) is slow per call
     def rounding(self) -> RoundingMode:
         if self is AlignmentPolicy.TRUNCATE_BITS:
             return RoundingMode.TRUNCATE
