@@ -184,8 +184,8 @@ def cmd_probe(args) -> int:
     opts = InferOptions(k_max=args.kmax)
     if args.seed_params is not None:
         opts.j, opts.t = args.seed_params
-        # Given j,t are wrong where they break a probe that needs no width
-        # and builds at the defaults; what no j,t builds, the report marks.
+        # A usage error only where j,t break a width-free probe that the
+        # defaults build; a probe no j,t can build is left to the report.
         for build in (lambda o: gen_rm_bfma_probe(fin, fout, o.j),
                       lambda o: gen_normalisation_probe(
                           fin, fout, "carry_and_align", o.t)):
