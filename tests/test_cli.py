@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mmaprobe import selftest
-from mmaprobe.cli import main
+from mmaprobe.cli import _GEN_VECTORS, main
 from mmaprobe.formats import lookup_format
 from mmaprobe.probes import run_algorithm1
 from mmaprobe.simulator import exact_oracle
@@ -313,6 +313,9 @@ class TestGenVectors:
         code, _, err = run(capsys, "gen-vectors", "--probe", "warp_speed",
                            "--in", "binary16", "--out", "binary32")
         assert code == 64
+        assert "warp_speed" in err
+        for name in (*_GEN_VECTORS, "all"):
+            assert name in err
 
     def test_classifier_rows_are_hex(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "rm_bfma",

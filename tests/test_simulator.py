@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -453,13 +453,25 @@ def test_config_round_trip():
     assert config_from_text(config_to_text(cfg)) == cfg
 
 
-def test_config_parse_errors():
-    with pytest.raises(ValueError):
-        config_from_text("fma_width = 8\nnope = 1\n")
-    with pytest.raises(ValueError):
-        config_from_text("rm_intra = sideways\n")
-    with pytest.raises(ValueError):
-        config_from_text("fma_width 8\n")
+@pytest.mark.parametrize("text, message", [
+    ("fma_width = 8\nnope = 1\n", "line 2: unknown config key 'nope'"),
+    ("rm_intra = sideways\n",
+     "line 1: rm_intra must be one of RNE, RZ, RU, RD, TruncateMagnitude"),
+    ("ordering = Sideways\n",
+     "line 1: ordering must be one of CFirst, TreeThenC, CWithLast"),
+    ("fma_width 8\n", "line 1: expected 'key = value'"),
+    ("n_ecb = three\n", "invalid literal for int() with base 10: 'three'"),
+], ids=["unknown-key", "bad-mode", "bad-ordering", "no-equals", "not-int"])
+def test_config_parse_errors(text, message):
+    with pytest.raises(ValueError) as e:
+        config_from_text(text)
+    assert str(e.value) == message
+
+
+def test_config_text_has_one_line_per_field():
+    lines = config_to_text(BlockFmaConfig()).splitlines()
+    assert sorted(line.partition(" = ")[0] for line in lines) == \
+        sorted(f.name for f in fields(BlockFmaConfig))
 
 
 def test_config_comments_and_blanks():
