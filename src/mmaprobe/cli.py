@@ -13,7 +13,6 @@ report (or selftest failure), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -27,12 +26,14 @@ from .backend import (
     serve,
 )
 from .formats import FpFormat, lookup_format
-from .inference import InferOptions, infer_features, render_report
+from .inference import (InferOptions, _json_text, infer_features,
+                        render_report)
 from .presets import PRESET_NAMES, load_config
 from .probes import (
     NotFactorable,
     Probe,
     ProbeVector,
+    _scan_step,
     gen_alignment_bits_probe,
     gen_alignment_cancel_probe,
     gen_normalisation_probe,
@@ -41,10 +42,7 @@ from .probes import (
     gen_rm_bfma_probe,
     gen_rm_mbfma_probe,
     gen_subnormal_probes,
-    width_test_vectors,
-    carry_test_vector,
 )
-from .simulator import exact_oracle
 
 EX_OK = 0
 EX_ERROR = 1
@@ -105,26 +103,22 @@ def _probe_to_record(name: str, probe: Probe, fin: FpFormat,
 
 
 def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
-    """Every vector ``run_algorithm1`` sends at ``k``, in sending order:
-    like the scan, it leaves out a ``carry[k]`` whose addend is inexact."""
-    vecs = width_test_vectors(k, fin, fout)
-    cvec = carry_test_vector(k, fin, fout)
+    """Every vector ``run_algorithm1`` sends at ``k``, in sending order."""
+    width, cvec, carry_sum = _scan_step(k, fin, fout)
     rec = {
         "probe": "algorithm1",
         "feature": "fma_width,n_ecb",
         "fin": fin.name,
         "fout": fout.name,
-        "vectors": [_vec_to_obj(v, fin, fout) for v in vecs],
-        "expected_exact": [
-            _to_hex(exact_oracle(v.c, *zip(*v.pairs)), fout,
-                    f"exact sum of {v.label}")
-            for v in vecs],
+        "vectors": [_vec_to_obj(v, fin, fout) for v, _, _ in width],
+        "expected_exact": [_to_hex(exact, fout, f"exact sum of {v.label}")
+                           for v, exact, _ in width],
         "note": "iterate k upward; any width vector whose magnitude is off "
                 "its exact sum marks the block boundary at k-1; the carry "
                 "vector matching exactly records "
                 "floor(log2(k*(2-2^(1-p_in)))) carry bits",
     }
-    if cvec.c.bit_count > fout.precision:
+    if carry_sum is None:
         rec["carry_skipped"] = (f"addend of {cvec.label} not exact in "
                                 f"{fout.name}")
     else:
@@ -243,15 +237,7 @@ def cmd_eval(args) -> int:
 def cmd_gen_vectors(args) -> int:
     fin = _format_or_die(args.infmt)
     fout = _format_or_die(args.outfmt)
-    if args.probe == "all":
-        names = list(_GEN_VECTORS)
-    elif args.probe in _GEN_VECTORS:
-        names = [args.probe]
-    else:
-        print(f"error: unknown probe {args.probe!r} "
-              f"(choose from {', '.join(_GEN_VECTORS)} or all)",
-              file=sys.stderr)
-        return EX_USAGE
+    names = list(_GEN_VECTORS) if args.probe == "all" else [args.probe]
     records = []
     for name in names:
         try:
@@ -262,9 +248,8 @@ def cmd_gen_vectors(args) -> int:
             else:
                 print(f"error: {e}", file=sys.stderr)
                 return EX_USAGE
-    json.dump({"schema": "mmaprobe-vectors/1", "records": records},
-              sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(
+        {"schema": "mmaprobe-vectors/1", "records": records}) + "\n")
     return EX_OK
 
 
@@ -347,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-vectors",
                        help="export probe vectors with classifier tables")
     add_formats(p)
-    p.add_argument("--probe", default="all",
-                   help=f"one of {', '.join(_GEN_VECTORS)} or all")
+    p.add_argument("--probe", choices=(*_GEN_VECTORS, "all"),
+                   default="all")
     p.add_argument("--fma-width", type=int, default=None)
     p.add_argument("--n-eab", type=int, default=0)
     p.add_argument("--n", type=int, default=1,

@@ -561,14 +561,20 @@ def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
 
 @_memoised
 def _scan_step(k: int, fin: FpFormat, fout: FpFormat,
-               ) -> tuple[tuple[tuple[ProbeVector, Dyadic], ...],
-                          ProbeVector, Dyadic]:
-    """One ``k`` of the width scan: each width vector with its exact
-    magnitude, then the carry vector and its exact sum."""
-    width = tuple((vec, abs(exact_oracle(vec.c, *zip(*vec.pairs))))
-                  for vec in width_test_vectors(k, fin, fout))
+               ) -> tuple[tuple[tuple[ProbeVector, Dyadic, Dyadic], ...],
+                          ProbeVector, Optional[Dyadic]]:
+    """What the width scan sends at ``k``: each width vector with its exact
+    sum and that sum's magnitude, then the carry vector and its exact sum,
+    which is None when the carry addend is not exact in ``fout`` (the
+    carry test is then not sent)."""
+    width = []
+    for vec in width_test_vectors(k, fin, fout):
+        exact = exact_oracle(vec.c, *zip(*vec.pairs))
+        width.append((vec, exact, abs(exact)))
     cvec = carry_test_vector(k, fin, fout)
-    return width, cvec, exact_oracle(cvec.c, *zip(*cvec.pairs))
+    carry_sum = (None if cvec.c.bit_count > fout.precision
+                 else exact_oracle(cvec.c, *zip(*cvec.pairs)))
+    return tuple(width), cvec, carry_sum
 
 
 @dataclass
@@ -609,7 +615,7 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     for k in range(2, k_max + 1):
         width, cvec, carry_sum = _scan_step(k, fin, fout)
         mismatched = []
-        for vec, magnitude in width:
+        for vec, _, magnitude in width:
             d = evaluate(vec)
             if isinstance(d, Special) or abs(d) != magnitude:
                 mismatched.append(vec.label)
@@ -620,7 +626,7 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
                                   for l in mismatched),
                 carry_skipped_at=skipped_at)
         if skipped_at is None:
-            if cvec.c.bit_count > fout.precision:
+            if carry_sum is None:
                 skipped_at = k
             elif evaluate(cvec) == carry_sum:
                 n_ecb = max_detectable_carry_bits(k, fin.precision)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from .formats import (
@@ -325,22 +325,17 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
 
 # -- config file round-trip -------------------------------------------
 
-_ENUM_FIELDS = {
-    "alignment_policy": AlignmentPolicy,
-    "norm_policy": NormPolicy,
-    "rm_intra": RoundingMode,
-    "rm_inter": RoundingMode,
-    "ordering": Ordering,
-    "carry_overflow": CarryOverflow,
-}
-_INT_FIELDS = ("fma_width", "n_eab", "n_ecb", "blocks_per_tile")
+# Each key is a BlockFmaConfig field; its value is an int or a member of
+# the enum of the field's default.
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(BlockFmaConfig)}
 
 
 def config_to_text(cfg: BlockFmaConfig) -> str:
     """Flat key = value serialization, keys matching the field names."""
-    lines = [f"{name} = {getattr(cfg, name)}" for name in _INT_FIELDS]
-    for name, _ in _ENUM_FIELDS.items():
-        lines.append(f"{name} = {getattr(cfg, name).value}")
+    lines = []
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        lines.append(f"{name} = {value if kind is int else value.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -355,16 +350,16 @@ def config_from_text(text: str) -> BlockFmaConfig:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_FIELDS:
-            kw[key] = int(value)
-        elif key in _ENUM_FIELDS:
-            enum_cls = _ENUM_FIELDS[key]
-            try:
-                kw[key] = enum_cls(value)
-            except ValueError:
-                names = ", ".join(m.value for m in enum_cls)
-                raise ValueError(
-                    f"line {lineno}: {key} must be one of {names}") from None
-        else:
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if kind is int:
+            kw[key] = int(value)
+            continue
+        try:
+            kw[key] = kind(value)
+        except ValueError:
+            names = ", ".join(m.value for m in kind)
+            raise ValueError(
+                f"line {lineno}: {key} must be one of {names}") from None
     return BlockFmaConfig(**kw)

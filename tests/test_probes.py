@@ -606,10 +606,12 @@ class TestCompileOnce:
 
     def test_scan_step_pairs_vectors_with_exact_sums(self):
         width, cvec, carry_sum = _scan_step(5, B16, B32)
-        assert width == tuple((v, abs(exact_sum(v)))
+        assert width == tuple((v, exact_sum(v), abs(exact_sum(v)))
                               for v in width_test_vectors(5, B16, B32))
         assert cvec == carry_test_vector(5, B16, B32)
         assert carry_sum == exact_sum(cvec)
+        # From k=9 the bfloat16 carry addend is inexact in binary16.
+        assert _scan_step(9, BF16, B16)[2] is None
 
     def test_exceptions_are_not_cached(self):
         before = gen_post_alignment_rounding_probe.cache_info()
