@@ -466,7 +466,7 @@ def encode(v: Value, fmt: FpFormat,
     frac_w = fmt.precision - 1
     inf_word = ((1 << fmt.exp_bits) - 1) << frac_w
     flags = NO_FLAGS
-    if isinstance(v, Special):
+    if type(v) is Special:
         # A NaN is the canonical quiet NaN: top fraction bit set, positive.
         word = inf_word | (1 << (frac_w - 1) if v.is_nan else 0)
     elif v.sig == 0:

@@ -617,7 +617,7 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
         mismatched = []
         for vec, _, magnitude in width:
             d = evaluate(vec)
-            if isinstance(d, Special) or abs(d) != magnitude:
+            if type(d) is Special or abs(d) != magnitude:
                 mismatched.append(vec.label)
         if mismatched:
             return Algorithm1Result(
