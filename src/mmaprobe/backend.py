@@ -273,7 +273,7 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
     results are stored, so an inexact value raises on every call.
     """
     mode = None if rm is None else rm._value_
-    key = ((v._value_, mode) if isinstance(v, Special)
+    key = ((v._value_, mode) if type(v) is Special
            else (v.sign, v.sig, v.exp, mode))
     memo = fmt.encode_memo
     text = memo.get(key)
@@ -420,9 +420,12 @@ class _LinePipe:
             if hit >= 0:
                 end = len(self._buf) + hit
             self._buf += chunk
-        line = self._buf[:end].decode()
+        line = self._buf[:end]
         del self._buf[:end + 1]
-        return line
+        try:
+            return line.decode()
+        except UnicodeDecodeError as e:
+            raise TransportError(f"child line is not UTF-8: {e}") from e
 
 
 class ExecBackend(_SessionBase):

@@ -427,6 +427,25 @@ class TestBackendFailures:
         assert "INCOMPLETE: binary16->binary32" in out
         assert f"\nnote: {note}" in out
 
+    def test_non_utf8_reply_gives_incomplete_report(self, capsys, tmp_path):
+        script = tmp_path / "child.py"
+        script.write_text(
+            "import sys\n"
+            "from mmaprobe.backend import SimBackend\n"
+            "from mmaprobe.simulator import BlockFmaConfig\n"
+            "print(SimBackend(BlockFmaConfig()).handshake.to_json(),\n"
+            "      flush=True)\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'\\xff\\xfe garbage\\n')\n"
+            "    sys.stdout.buffer.flush()\n")
+        code, out, err = run(capsys, "probe",
+                             "--backend", f"exec:{sys.executable} {script}",
+                             "--in", "binary16", "--out", "binary32")
+        assert (code, err) == (2, "")
+        assert "INCOMPLETE: binary16->binary32" in out
+        assert ("\nnote: aborted: child line is not UTF-8: 'utf-8' codec "
+                "can't decode byte 0xff in position 0") in out
+
 
 class TestSelftestCommand:
     @pytest.fixture(autouse=True)
