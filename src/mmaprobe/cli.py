@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .backend import (
@@ -137,6 +138,12 @@ def _fma_width(args, why: str) -> int:
     return args.fma_width
 
 
+_RM_MBFMA_NOTE = (
+    "the live product sits at slot fma_width+1, which reads the combine "
+    "rounding mode when the accumulator input joins the first block or the "
+    "combined blocks (ordering CFirst or TreeThenC); on a CWithLast unit it "
+    "reads the in-block mode, so move the live product to slot 1 there")
+
 # gen-vectors probes in dependency order: name -> records builder.  Probe
 # parameters come from the command-line flags, not from earlier verdicts.
 _GEN_VECTORS = {
@@ -159,11 +166,11 @@ _GEN_VECTORS = {
         "normalisation", fin, fout,
         gen_normalisation_probe(fin, fout, args.norm_case, args.t)),
     "rm_mbfma": lambda fin, fout, args: _records(
-        "rm_mbfma", fin, fout, gen_rm_mbfma_probe(
+        "rm_mbfma", fin, fout, replace(gen_rm_mbfma_probe(
             fin, fout, _fma_width(
                 args, "rm_mbfma places its live product one past the block "
                       "boundary: pass --fma-width (from a prior width probe)"),
-            j=args.j, n_eab=args.n_eab or None)),
+            j=args.j, n_eab=args.n_eab or None), note=_RM_MBFMA_NOTE)),
     "ordering": lambda fin, fout, args: _records(
         "ordering", fin, fout, gen_ordering_probe(
             fin, fout, _fma_width(

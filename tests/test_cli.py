@@ -19,7 +19,7 @@ SERVE = f"exec:{sys.executable} -m mmaprobe.cli serve --config ampere"
 # exit code in decimal followed by its stdout: vectors, classifier rows,
 # skipped probes and off-grid pairs.
 GEN_VECTORS_SHA256 = \
-    "8eb2100017448fedfb94e13af458a51571046920d83073e6cd52caaf0f3ecbfc"
+    "2864d6fb20da06c0181faee3176754593f7327444d40bc2e027073ff5dc44a4c"
 GEN_VECTORS_PAIRS = (
     ("binary16", "binary32"), ("bfloat16", "binary32"),
     ("TensorFloat32", "binary32"), ("binary16", "binary16"),
@@ -316,6 +316,16 @@ class TestGenVectors:
         assert "warp_speed" in err
         for name in (*_GEN_VECTORS, "all"):
             assert name in err
+
+    def test_rm_mbfma_record_names_the_orderings_it_suits(self, capsys):
+        code, out, _ = run(capsys, "gen-vectors", "--probe", "rm_mbfma",
+                           "--in", "binary16", "--out", "binary32",
+                           "--fma-width", "4")
+        assert code == 0
+        [rec] = json.loads(out)["records"]
+        assert rec["vectors"][0]["k"] == 5
+        for ordering in ("CFirst", "TreeThenC", "CWithLast"):
+            assert ordering in rec["note"]
 
     def test_classifier_rows_are_hex(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "rm_bfma",
