@@ -348,11 +348,11 @@ class FpFormat:
     def emin(self) -> int:
         return 1 - self.bias
 
-    @property
+    @functools.cached_property
     def pad_bits(self) -> int:
         return self.storage_bits - 1 - self.exp_bits - (self.precision - 1)
 
-    @property
+    @functools.cached_property
     def hex_digits(self) -> int:
         return (self.storage_bits + 3) // 4
 
