@@ -433,7 +433,8 @@ class ExecBackend(_SessionBase):
 
     One in-flight request at a time; a transport failure triggers one
     restart-and-resend before giving up, and a timeout replaces the child
-    before it is raised.
+    before it is raised.  A replacement child with another handshake would
+    change a report's basis mid-run, so that restart is a transport failure.
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
@@ -444,6 +445,7 @@ class ExecBackend(_SessionBase):
         self.timeout = timeout
         self._proc: Optional[subprocess.Popen] = None
         self._pipe: Optional[_LinePipe] = None
+        self.handshake: Optional[Handshake] = None
         self._start()
 
     def _start(self) -> None:
@@ -457,16 +459,20 @@ class ExecBackend(_SessionBase):
         self._pipe = _LinePipe(self._proc)
         try:
             try:
-                self.handshake = Handshake.from_json(
+                handshake = Handshake.from_json(
                     self._pipe.read_line(self.timeout))
             except ValueError as e:
                 raise TransportError(f"bad handshake: {e}") from e
-            if self.handshake.proto != PROTO_VERSION:
+            if handshake.proto != PROTO_VERSION:
                 raise TransportError(
-                    f"protocol {self.handshake.proto} not supported")
+                    f"protocol {handshake.proto} not supported")
+            if self.handshake is not None and handshake != self.handshake:
+                raise TransportError("restarted backend changed its "
+                                     f"handshake to {handshake.to_json()}")
         except BaseException:
             self.close()  # a failed start leaves no child running
             raise
+        self.handshake = handshake
 
     def _round_trip(self, req: MmaRequest) -> MmaReply:
         self._pipe.write_line(req.to_json())

@@ -87,6 +87,42 @@ class TestProbeCommand:
         assert code == 2
         assert "INCOMPLETE" in out
 
+    @pytest.mark.parametrize("change", [
+        "kmax=8", "pairs=(('binary16', 'binary32'),)"])
+    def test_restart_with_another_handshake_is_partial(self, capsys,
+                                                       tmp_path, change):
+        # A child that dies after two replies; its replacement answers as
+        # well, but advertises another kmax or pair list.
+        marker = tmp_path / "died-once"
+        script = tmp_path / "changeling.py"
+        script.write_text(
+            "import sys, pathlib, dataclasses\n"
+            "from mmaprobe.backend import MmaRequest, SimBackend\n"
+            "from mmaprobe.simulator import BlockFmaConfig\n"
+            f"marker = pathlib.Path({str(marker)!r})\n"
+            "sim = SimBackend(BlockFmaConfig())\n"
+            "restarted = marker.exists()\n"
+            "handshake = sim.handshake\n"
+            "if restarted:\n"
+            f"    handshake = dataclasses.replace(handshake, {change})\n"
+            "print(handshake.to_json(), flush=True)\n"
+            "for n, line in enumerate(sys.stdin):\n"
+            "    if n >= 2 and not restarted:\n"
+            "        marker.touch()\n"
+            "        sys.exit(1)\n"
+            "    req = MmaRequest.from_json(line)\n"
+            "    print(sim.evaluate(req).to_json(), flush=True)\n")
+        code, out, err = run(capsys, "probe",
+                             "--backend", f"exec:{sys.executable} {script}",
+                             "--timeout", "10", "--report", "structured",
+                             "--in", "binary16", "--out", "binary32")
+        assert code == 2 and err == ""
+        (report,) = json.loads(out)["reports"]
+        assert not report["complete"] and marker.exists()
+        assert report["notes"][-1].startswith(
+            "aborted: restarted backend changed its handshake to ")
+        assert len(report["evidence"]) == 2
+
     def test_seed_params(self, capsys):
         code, out, _ = run(capsys, "probe", "--backend", AMPERE,
                            "--in", "binary16", "--out", "binary32",
