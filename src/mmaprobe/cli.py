@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .backend import (
@@ -27,23 +26,18 @@ from .backend import (
     serve,
 )
 from .formats import FpFormat, lookup_format
-from .inference import (InferOptions, _json_text, infer_features,
-                        render_report)
+from .inference import (_STAGES, InferOptions, _json_text, _Planner,
+                        infer_features, render_report)
 from .presets import PRESET_NAMES, load_config
 from .probes import (
     NotFactorable,
     Probe,
     ProbeVector,
     _scan_step,
-    gen_alignment_bits_probe,
-    gen_alignment_cancel_probe,
     gen_normalisation_probe,
-    gen_ordering_probe,
-    gen_post_alignment_rounding_probe,
     gen_rm_bfma_probe,
-    gen_rm_mbfma_probe,
-    gen_subnormal_probes,
 )
+from .simulator import Ordering
 
 EX_OK = 0
 EX_ERROR = 1
@@ -107,7 +101,7 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
     """Every vector ``run_algorithm1`` sends at ``k``, in sending order."""
     width, cvec, carry_sum = _scan_step(k, fin, fout)
     rec = {
-        "probe": "algorithm1",
+        "probe": "fma_width",
         "feature": "fma_width,n_ecb",
         "fin": fin.name,
         "fout": fout.name,
@@ -127,64 +121,16 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
     return rec
 
 
-def _records(name: str, fin: FpFormat, fout: FpFormat,
-             *probes: Probe) -> list[dict]:
-    return [_probe_to_record(name, p, fin, fout) for p in probes]
+# gen-vectors probes: the inference stages in run order.  n_ecb has no
+# probe of its own; it reads the width scan, which the fma_width record is.
+_GEN_PROBES = tuple(name for name, _ in _STAGES if name != "n_ecb")
 
 
-def _fma_width(args, why: str) -> int:
-    if args.fma_width is None:
-        raise ValueError(why)
-    return args.fma_width
-
-
-_RM_MBFMA_NOTE = (
-    "the live product sits at slot fma_width+1, which reads the combine "
-    "rounding mode when the accumulator input joins the first block or the "
-    "combined blocks (ordering CFirst or TreeThenC); on a CWithLast unit it "
-    "reads the in-block mode, so move the live product to slot 1 there")
-
-# gen-vectors probes in dependency order: name -> records builder.  Probe
-# parameters come from the command-line flags, not from earlier verdicts.
-_GEN_VECTORS = {
-    "subnormal": lambda fin, fout, args: _records(
-        "subnormal", fin, fout, *gen_subnormal_probes(fin, fout)),
-    "algorithm1": lambda fin, fout, args: [
-        _algorithm1_record(fin, fout, args.k)],
-    "post_alignment": lambda fin, fout, args: _records(
-        "post_alignment", fin, fout,
-        gen_post_alignment_rounding_probe(fin, fout, args.n_eab, args.j)),
-    "rm_bfma": lambda fin, fout, args: _records(
-        "rm_bfma", fin, fout, gen_rm_bfma_probe(fin, fout, args.j)),
-    "alignment_bits": lambda fin, fout, args: _records(
-        "alignment_bits", fin, fout,
-        gen_alignment_bits_probe(fin, fout, args.n, args.j)),
-    "alignment_cancel": lambda fin, fout, args: _records(
-        "alignment_cancel", fin, fout,
-        gen_alignment_cancel_probe(fin, fout, args.n, args.j)),
-    "normalisation": lambda fin, fout, args: _records(
-        "normalisation", fin, fout,
-        gen_normalisation_probe(fin, fout, args.norm_case, args.t)),
-    "rm_mbfma": lambda fin, fout, args: _records(
-        "rm_mbfma", fin, fout, replace(gen_rm_mbfma_probe(
-            fin, fout, _fma_width(
-                args, "rm_mbfma places its live product one past the block "
-                      "boundary: pass --fma-width (from a prior width probe)"),
-            j=args.j, n_eab=args.n_eab or None), note=_RM_MBFMA_NOTE)),
-    "ordering": lambda fin, fout, args: _records(
-        "ordering", fin, fout, gen_ordering_probe(
-            fin, fout, _fma_width(
-                args, "ordering fills two whole blocks: pass --fma-width"),
-            args.j)),
-}
-
-
-def cmd_probe(args) -> int:
-    fin = _format_or_die(args.infmt)
-    fout = _format_or_die(args.outfmt)
-    opts = InferOptions(k_max=args.kmax)
-    if args.seed_params is not None:
-        opts.j, opts.t = args.seed_params
+def _options_or_die(fin: FpFormat, fout: FpFormat,
+                    seed_params: Optional[tuple[int, int]]) -> InferOptions:
+    opts = InferOptions()
+    if seed_params is not None:
+        opts.j, opts.t = seed_params
         # A usage error only where j,t break a width-free probe that the
         # defaults build; a probe no j,t can build is left to the report.
         for build in (lambda o: gen_rm_bfma_probe(fin, fout, o.j),
@@ -198,7 +144,15 @@ def cmd_probe(args) -> int:
                 build(opts)
             except NotFactorable as e:
                 print(f"error: --seed-params: {e}", file=sys.stderr)
-                return EX_USAGE
+                raise SystemExit(EX_USAGE)
+    return opts
+
+
+def cmd_probe(args) -> int:
+    fin = _format_or_die(args.infmt)
+    fout = _format_or_die(args.outfmt)
+    opts = _options_or_die(fin, fout, args.seed_params)
+    opts.k_max = args.kmax
     session = _backend_or_die(args)
     try:
         report = infer_features(session, fin.name, fout.name, opts)
@@ -244,19 +198,26 @@ def cmd_eval(args) -> int:
 def cmd_gen_vectors(args) -> int:
     fin = _format_or_die(args.infmt)
     fout = _format_or_die(args.outfmt)
-    names = list(_GEN_VECTORS) if args.probe == "all" else [args.probe]
+    planner = _Planner(
+        fin, fout, _options_or_die(fin, fout, args.seed_params),
+        fma_width=args.fma_width, ordering=args.ordering, n_eab=args.n_eab,
+        n_ecb=args.n_ecb)
     records = []
-    for name in names:
+    for name in _GEN_PROBES if args.probe == "all" else (args.probe,):
         try:
-            records.extend(_GEN_VECTORS[name](fin, fout, args))
+            if name == "fma_width":
+                records.append(_algorithm1_record(fin, fout, args.k))
+                continue
+            probes, field = planner.plan(name)
+            records += ([_probe_to_record(name, p, fin, fout) for p in probes]
+                        or [{"probe": name, "skipped": field.reason}])
         except ValueError as e:
-            if args.probe == "all":
-                records.append({"probe": name, "skipped": str(e)})
-            else:
+            if args.probe != "all":
                 print(f"error: {e}", file=sys.stderr)
                 return EX_USAGE
+            records.append({"probe": name, "skipped": str(e)})
     sys.stdout.write(_json_text(
-        {"schema": "mmaprobe-vectors/1", "records": records}) + "\n")
+        {"schema": "mmaprobe-vectors/2", "records": records}) + "\n")
     return EX_OK
 
 
@@ -314,6 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="outfmt", required=True,
                        help="output format name")
 
+    def add_seed_params(p):
+        p.add_argument("--seed-params", type=_seed_params, metavar="j,t",
+                       help="scale exponent and gap parameter (default 0,3)")
+
     p = sub.add_parser("probe", help="infer the full feature report")
     add_backend_opts(p)
     add_formats(p)
@@ -321,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="table")
     p.add_argument("--kmax", type=_kmax, default=64,
                    help="largest shared dimension the width scan tries")
-    p.add_argument("--seed-params", type=_seed_params, metavar="j,t",
-                   help="scale exponent and gap parameter (default 0,3)")
+    add_seed_params(p)
     p.add_argument("--stamp", action="store_true",
                    help="append a generation timestamp note (reports are "
                         "otherwise byte-identical across runs)")
@@ -339,18 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-vectors",
                        help="export probe vectors with classifier tables")
     add_formats(p)
-    p.add_argument("--probe", choices=(*_GEN_VECTORS, "all"),
-                   default="all")
-    p.add_argument("--fma-width", type=int, default=None)
-    p.add_argument("--n-eab", type=int, default=0)
-    p.add_argument("--n", type=int, default=1,
-                   help="alignment depth under test")
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--t", type=int, default=3)
+    p.add_argument("--probe", choices=(*_GEN_PROBES, "all"), default="all")
+    p.add_argument("--fma-width", type=int, help="block width verdict")
+    p.add_argument("--ordering", choices=[o.value for o in Ordering],
+                   help="ordering verdict")
+    p.add_argument("--n-eab", type=int, help="extra alignment bits verdict")
+    p.add_argument("--n-ecb", type=int, help="extra carry bits verdict")
+    add_seed_params(p)
     p.add_argument("--k", type=int, default=2,
-                   help="shared dimension for the algorithm1 record")
-    p.add_argument("--norm-case", choices=("carry_only", "carry_and_align"),
-                   default="carry_and_align")
+                   help="shared dimension for the fma_width record")
     p.set_defaults(fn=cmd_gen_vectors)
 
     p = sub.add_parser("selftest",

@@ -135,6 +135,9 @@ class InferOptions:
 
 
 _C_ANCHORED = ("CFirst", "CWithLast")
+# A straddle-only split at this width or wider follows four-term prefixes
+# that accumulated losslessly, which excludes per-addition rounding.
+_DEFERRED_PROOF_WIDTH = 4
 
 
 @dataclass
@@ -165,6 +168,33 @@ class _State:
 
     def field(self, probe: Probe) -> Field:
         return probe.classify([self.send(vec) for vec in probe.vectors])
+
+
+class _Planner(_State):
+    """A sessionless state whose report holds the given verdicts as exact:
+    it finds what each stage sends to such a unit.  ``field`` records the
+    probe and answers with its first classifier row, ``("at_least", n)``
+    for both ladder probes, so the ``n_eab`` ladder runs every rung."""
+
+    def __init__(self, fin: FpFormat, fout: FpFormat, opts: InferOptions,
+                 **verdicts) -> None:
+        report = FeatureReport(fin.name, fout.name)
+        for name, value in verdicts.items():
+            if value is not None:
+                setattr(report, name, Field(value, QUAL_EXACT))
+        super().__init__(None, fin, fout, opts, report)
+        self.deferred_proven = (self.width or 0) >= _DEFERRED_PROOF_WIDTH
+        self.sent: list[Probe] = []
+
+    def field(self, probe: Probe) -> Field:
+        self.sent.append(probe)
+        return Field(probe.rows[0][1], QUAL_EXACT)
+
+    def plan(self, name: str) -> tuple[list[Probe], Field]:
+        """The probes stage ``name`` sends, in order, and its field."""
+        self.sent = []
+        field = dict(_STAGES)[name](self)
+        return self.sent, field
 
 
 def infer_features(session, fin_name: str, fout_name: str,
@@ -209,7 +239,7 @@ def _block_width(s: _State) -> Field:
     # Straddle-only split: the addend never met a block, so the boundary
     # position aliases small widths unless the tile geometry (two blocks
     # per inner product) pins it.
-    s.deferred_proven = scan.n_fma >= 4
+    s.deferred_proven = scan.n_fma >= _DEFERRED_PROOF_WIDTH
     if s.deferred_proven:
         s.report.notes.append(
             "four-term prefixes accumulated losslessly before the "

@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from mmaprobe.backend import ExecBackend, SimBackend
+from mmaprobe.cli import main
 from mmaprobe.formats import (
     REGISTRY,
     Dyadic,
@@ -243,6 +244,38 @@ def test_criterion_7_classifier_soundness(grid_results):
     _line(7, ok, f"no wrong determinate verdict across "
                  f"{len(grid_results)} configurations")
     assert ok, failures[:5]
+
+
+def test_gen_vectors_export_every_probe_the_grid_sends(grid_results,
+                                                       capsys):
+    """Given a report's determinate upstream verdicts as flags,
+    ``gen-vectors`` exports every request that report sent outside the
+    width scan."""
+    results, _ = grid_results
+    exported = {}  # (fin, fout, flags) -> set of (k, a, b, c)
+    missing = []
+    for case, report in results:
+        flags = []
+        for name in ("fma_width", "ordering", "n_eab", "n_ecb"):
+            field = getattr(report, name)
+            if field.determinate:
+                flags += [f"--{name.replace('_', '-')}", str(field.value)]
+        key = (report.fin, report.fout, tuple(flags))
+        if key not in exported:
+            assert main(["gen-vectors", "--in", report.fin,
+                         "--out", report.fout, *flags]) == 0
+            records = json.loads(capsys.readouterr().out)["records"]
+            exported[key] = {
+                (v["k"], tuple(v["a"]), tuple(v["b"]), v["c"])
+                for rec in records for v in rec.get("vectors", ())}
+        for entry in report.evidence:
+            if entry["label"].startswith(("width-", "carry[")):
+                continue
+            req = json.loads(entry["request"])
+            if (req["k"], tuple(req["a"]), tuple(req["b"]),
+                    req["c"]) not in exported[key]:
+                missing.append((case, entry["label"]))
+    assert len(results) == 5184 and not missing, missing[:5]
 
 
 def _loopback_cases():

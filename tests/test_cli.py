@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mmaprobe import selftest
-from mmaprobe.cli import _GEN_VECTORS, main
+from mmaprobe.cli import _GEN_PROBES, main
 from mmaprobe.formats import lookup_format
 from mmaprobe.probes import run_algorithm1
 from mmaprobe.simulator import exact_oracle
@@ -25,10 +25,17 @@ GEN_VECTORS_PAIRS = (
     ("TensorFloat32", "binary32"), ("binary16", "binary16"),
     ("bfloat16", "binary16"))
 GEN_VECTORS_FLAGS = (
-    (), ("--fma-width", "8"),
-    ("--fma-width", "4", "--n-eab", "1", "--n", "2", "--k", "5", "--j", "3",
-     "--t", "4"),
-    ("--fma-width", "4", "--norm-case", "carry_only", "--k", "9"))
+    (),
+    ("--fma-width", "1", "--n-eab", "0", "--n-ecb", "0"),
+    ("--fma-width", "8", "--ordering", "CFirst", "--n-eab", "1",
+     "--n-ecb", "3"),
+    ("--fma-width", "4", "--ordering", "CWithLast", "--n-eab", "0",
+     "--n-ecb", "2", "--k", "5", "--seed-params", "3,4"),
+    ("--fma-width", "4", "--ordering", "TreeThenC", "--n-eab", "2",
+     "--n-ecb", "0", "--k", "9"))
+# Upstream verdicts under which every gen-vectors probe is sent.
+UNIT_FLAGS = ("--fma-width", "8", "--ordering", "CFirst", "--n-eab", "1",
+              "--n-ecb", "3")
 
 
 def run(capsys, *argv):
@@ -221,7 +228,7 @@ class TestGenVectors:
         assert digest.hexdigest() == GEN_VECTORS_SHA256
 
     def test_boundary_search_first_iteration(self, capsys):
-        code, out, _ = run(capsys, "gen-vectors", "--probe", "algorithm1",
+        code, out, _ = run(capsys, "gen-vectors", "--probe", "fma_width",
                            "--in", "binary16", "--out", "binary32")
         assert code == 0
         obj = json.loads(out)
@@ -254,7 +261,7 @@ class TestGenVectors:
             return exact_oracle(vec.c, *zip(*vec.pairs))
 
         run_algorithm1(evaluate, lookup_format(fin), lookup_format(fout), k)
-        code, out, _ = run(capsys, "gen-vectors", "--probe", "algorithm1",
+        code, out, _ = run(capsys, "gen-vectors", "--probe", "fma_width",
                            "--in", fin, "--out", fout, "--k", str(k))
         assert code == 0
         [rec] = json.loads(out)["records"]
@@ -268,59 +275,84 @@ class TestGenVectors:
             assert rec["carry_skipped"] == \
                 f"addend of {carry} not exact in {fout}"
 
-    def test_all_enumerates_in_dependency_order(self, capsys):
+    def test_all_enumerates_in_stage_order(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "all",
                            "--in", "binary16", "--out", "binary32",
-                           "--fma-width", "8")
+                           *UNIT_FLAGS)
         assert code == 0
         obj = json.loads(out)
+        assert obj["schema"] == "mmaprobe-vectors/2"
         names = [r["probe"] for r in obj["records"]]
+        # The n_eab ladder exports every rung below the width of 8, each
+        # as the in-block indicator probe and then the cancellation one.
         assert names == [
-            "subnormal", "subnormal", "algorithm1", "post_alignment",
-            "rm_bfma", "alignment_bits", "alignment_cancel", "normalisation",
-            "rm_mbfma", "ordering"]
+            "subnormal_in", "subnormal_out", "fma_width", "ordering",
+            *["n_eab"] * 14, "immediate_norm", "rm_bfma",
+            "rm_post_alignment", "rm_mbfma"]
         assert not any("skipped" in r for r in obj["records"])
+        ladder = [r["vectors"][0]["label"] for r in obj["records"]
+                  if r["probe"] == "n_eab"]
+        assert ladder[-2:] == ["align-bits[n=7,j=0]", "align-cancel[n=7,j=0]"]
 
-    def test_all_without_width_skips_dependents(self, capsys):
+    def test_all_without_verdicts_skips_dependents(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "all",
                            "--in", "binary16", "--out", "binary32")
         assert code == 0
         obj = json.loads(out)
-        skipped = {r["probe"]: r for r in obj["records"] if "skipped" in r}
-        assert "rm_mbfma" in skipped and "ordering" in skipped
+        skipped = {r["probe"]: r["skipped"]
+                   for r in obj["records"] if "skipped" in r}
+        assert skipped["ordering"] == "width unknown"
+        assert skipped["rm_mbfma"] == "needs a known width and ordering"
+        assert set(skipped) == {
+            "ordering", "n_eab", "immediate_norm", "rm_bfma",
+            "rm_post_alignment", "rm_mbfma"}
 
-    def test_dependent_probe_without_width_errors(self, capsys):
-        code, _, err = run(capsys, "gen-vectors", "--probe", "rm_mbfma",
-                           "--in", "binary16", "--out", "binary32")
-        assert code == 64
-        assert "--fma-width" in err
+    def test_dependent_probe_without_verdicts_skips(self, capsys):
+        code, out, err = run(capsys, "gen-vectors", "--probe", "rm_mbfma",
+                             "--in", "binary16", "--out", "binary32",
+                             "--fma-width", "4")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["records"] == [
+            {"probe": "rm_mbfma",
+             "skipped": "needs a known width and ordering"}]
 
-    def test_out_of_range_j_usage_error(self, capsys):
+    @pytest.mark.parametrize("probe", ["rm_post_alignment", "all"])
+    def test_two_alignment_bits_skip_post_alignment(self, capsys, probe):
+        code, out, err = run(capsys, "gen-vectors", "--probe", probe,
+                             "--in", "binary16", "--out", "binary32",
+                             "--fma-width", "4", "--ordering", "CFirst",
+                             "--n-eab", "2")
+        assert (code, err) == (0, "")
+        skipped = {r["probe"]: r["skipped"]
+                   for r in json.loads(out)["records"] if "skipped" in r}
+        assert skipped["rm_post_alignment"] == \
+            "straddle values for more than one extra bit need finer tests"
+
+    def test_out_of_range_seed_params_usage_error(self, capsys):
         code, out, err = run(capsys, "gen-vectors", "--probe", "rm_bfma",
                              "--in", "binary16", "--out", "binary32",
-                             "--j", "100")
-        assert code == 64
-        assert err.startswith("error: ") and out == ""
+                             "--seed-params", "100,3")
+        assert code == 64 and out == ""
+        assert err.startswith("error: --seed-params: ")
+
+    def test_small_gap_seed_params_usage_error(self, capsys):
+        code, out, err = run(capsys, "gen-vectors", "--in", "binary16",
+                             "--out", "binary32", "--seed-params", "0,2")
+        assert code == 64 and out == ""
+        assert "error: argument --seed-params: t must be >= 3" in err
 
     @pytest.mark.parametrize("args,probe,why", [
-        (("--probe", "post_alignment", "--n-eab", "2"), "post_alignment",
-         "post-alignment probe handles n_eab in {0, 1} only"),
-        (("--probe", "all", "--n-eab", "2", "--fma-width", "4"),
-         "post_alignment", "post-alignment probe handles n_eab in {0, 1} only"),
-        (("--probe", "alignment_bits", "--n", "0"), "alignment_bits",
-         "n must be >= 1"),
-        (("--probe", "all", "--n", "0"), "alignment_bits", "n must be >= 1"),
-        (("--probe", "algorithm1", "--k", "1"), "algorithm1",
+        (("--probe", "fma_width", "--k", "1"), "fma_width",
          "k must be >= 2"),
-        (("--probe", "normalisation", "--t", "2"), "normalisation",
-         "t must be >= 3"),
-        (("--probe", "rm_mbfma", "--fma-width", "0"), "rm_mbfma",
-         "n_fma must be >= 1"),
+        (("--probe", "all", "--k", "1"), "fma_width", "k must be >= 2"),
+        (("--probe", "rm_mbfma", "--fma-width", "0", "--ordering", "CFirst"),
+         "rm_mbfma", "n_fma must be >= 1"),
         (("--probe", "ordering", "--fma-width", "0"), "ordering",
          "n_fma must be >= 1"),
-    ], ids=["post_alignment-n_eab2", "all-n_eab2", "alignment_bits-n0",
-            "all-n0", "algorithm1-k1", "normalisation-t2", "rm_mbfma-width0",
-            "ordering-width0"])
+        (("--probe", "all", "--fma-width", "0", "--ordering", "CFirst"),
+         "rm_mbfma", "n_fma must be >= 1"),
+    ], ids=["fma_width-k1", "all-k1", "rm_mbfma-width0", "ordering-width0",
+            "all-width0"])
     def test_bad_probe_parameter(self, capsys, args, probe, why):
         code, out, err = run(capsys, "gen-vectors", "--in", "binary16",
                              "--out", "binary32", *args)
@@ -335,7 +367,7 @@ class TestGenVectors:
     def test_rounded_vector_is_not_exported(self, capsys):
         # At j=14 an RM-BFMA classifier row overflows binary16.
         args = ("gen-vectors", "--in", "binary16", "--out", "binary16",
-                "--j", "14")
+                "--seed-params", "14,3", *UNIT_FLAGS)
         why = "rm_bfma classifier row not exact in binary16"
         code, out, err = run(capsys, *args, "--probe", "rm_bfma")
         assert (code, out, err) == (64, "", f"error: {why}\n")
@@ -350,22 +382,28 @@ class TestGenVectors:
                            "--in", "binary16", "--out", "binary32")
         assert code == 64
         assert "warp_speed" in err
-        for name in (*_GEN_VECTORS, "all"):
+        for name in (*_GEN_PROBES, "all"):
             assert name in err
+        assert "n_ecb" not in _GEN_PROBES
 
-    def test_rm_mbfma_record_names_the_orderings_it_suits(self, capsys):
+    @pytest.mark.parametrize("ordering, slot", [
+        ("CFirst", 5), ("TreeThenC", 5), ("CWithLast", 1)])
+    def test_rm_mbfma_live_product_follows_the_ordering(self, capsys,
+                                                        ordering, slot):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "rm_mbfma",
                            "--in", "binary16", "--out", "binary32",
-                           "--fma-width", "4")
+                           "--fma-width", "4", "--ordering", ordering)
         assert code == 0
         [rec] = json.loads(out)["records"]
-        assert rec["vectors"][0]["k"] == 5
-        for ordering in ("CFirst", "TreeThenC", "CWithLast"):
-            assert ordering in rec["note"]
+        [vec, _] = rec["vectors"]
+        assert vec["k"] == 5 and "note" not in rec
+        assert [i + 1 for i, a in enumerate(vec["a"]) if a != "0000"] == \
+            [slot]
 
     def test_classifier_rows_are_hex(self, capsys):
         code, out, _ = run(capsys, "gen-vectors", "--probe", "rm_bfma",
-                           "--in", "binary16", "--out", "binary32")
+                           "--in", "binary16", "--out", "binary32",
+                           *UNIT_FLAGS)
         assert code == 0
         [rec] = json.loads(out)["records"]
         rows = rec["classifier"]
