@@ -121,8 +121,8 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
     return rec
 
 
-# gen-vectors probes: the inference stages in run order.  n_ecb has no
-# probe of its own; it reads the width scan, which the fma_width record is.
+# gen-vectors probes: the inference stages in run order.  n_ecb sends no
+# probe of its own: it reads the width scan, which fma_width exports.
 _GEN_PROBES = tuple(name for name, _ in _STAGES if name != "n_ecb")
 
 
