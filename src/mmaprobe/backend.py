@@ -34,6 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .formats import (
+    Fields,
     FpFormat,
     REGISTRY,
     RoundingMode,
@@ -42,6 +43,7 @@ from .formats import (
     ZERO,
     bits_to_hex,
     decode,
+    decode_fields,
     encode,
     hex_to_bits,
 )
@@ -238,7 +240,12 @@ class _SessionBase:
         a_hex, b_hex, c_hex = _vector_hex(vec, fin, fout)
         req = MmaRequest(id=self._take_id(), fin=fin.name, fout=fout.name,
                          k=vec.k, a=a_hex, b=b_hex, c=c_hex)
-        reply = self.evaluate(req)
+        try:
+            reply = self.evaluate(req)
+        except BackendError as e:  # the lost request is evidence too
+            self.log.append(EvidenceEntry(vec.label, req.to_json(), MmaReply(
+                req.id, error_code="Transport", error_message=str(e)).to_json()))
+            raise
         self.log.append(EvidenceEntry(vec.label, req.to_json(),
                                       reply.to_json()))
         if not reply.ok:
@@ -288,16 +295,17 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
     return text
 
 
-def _from_hex(text: str, fmt: FpFormat) -> Value:
-    """Value of a wire pattern, memoised per format by the exact text.
-
-    Only texts of the format's fixed width are stored, so a padded text
-    from a child cannot make a key of any size.
+def _from_hex(text: str, fmt: FpFormat, fields: bool = False):
+    """Value of a wire pattern, or with ``fields`` maybe its bare
+    ``Fields``, memoised per format by the exact text; a ``Fields`` entry
+    answers only ``fields`` calls.  Only texts of the format's fixed width
+    are stored, so a padded text from a child cannot make a key of any size.
     """
     memo = fmt.decode_memo
     v = memo.get(text)
-    if v is None:
-        v = decode(hex_to_bits(text, fmt), fmt)
+    if v is None or (type(v) is Fields and not fields):
+        bits = hex_to_bits(text, fmt)
+        v = decode_fields(bits, fmt) if fields else decode(bits, fmt)
         if len(text) == fmt.hex_digits:
             if len(memo) >= _MEMO_BOUND:
                 memo.clear()
@@ -331,9 +339,9 @@ def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
     Raises ``ValueError`` on a malformed pattern, ``FormatContract`` when a
     product is not exact, ``ArithmeticError`` from the simulator.
     """
-    a = [_from_hex(h, fin) for h in a_hex]
-    b = [_from_hex(h, fin) for h in b_hex]
-    c = _from_hex(c_hex, fout)
+    a = [_from_hex(h, fin, True) for h in a_hex]
+    b = [_from_hex(h, fin, True) for h in b_hex]
+    c = _from_hex(c_hex, fout, True)
     exact_products(a, b, fin, fout)
     d = mma_dot(c, a, b, cfg, fout)
     return _to_hex(d, fout, "result", cfg.rm_intra)

@@ -9,7 +9,7 @@ Everything the rest of the package computes with flows through two types:
 * ``FpFormat`` -- a binary interchange format description (significand bits
   including the implicit bit, exponent field width, subnormal support,
   storage width).  ``decode``/``encode`` convert bit patterns to and from
-  ``Dyadic``/``Special`` values bit-exactly.
+  ``Dyadic``/``Special`` values bit-exactly; ``decode_fields`` to ``Fields``.
 
 No floats are used anywhere; rounding is implemented on integers.
 """
@@ -38,9 +38,11 @@ __all__ = [
     "round_to_grid",
     "EncodeFlags",
     "NO_FLAGS",
+    "Fields",
     "FpFormat",
     "REGISTRY",
     "lookup_format",
+    "decode_fields",
     "decode",
     "encode",
     "bits_to_hex",
@@ -313,6 +315,17 @@ class EncodeFlags(NamedTuple):
 NO_FLAGS = EncodeFlags()
 
 
+class Fields(NamedTuple):
+    """A finite pattern's ``sign * sig * 2**exp``; ``sig`` may be even."""
+
+    sign: int
+    sig: int
+    exp: int
+
+
+_fields = functools.partial(tuple.__new__, Fields)  # skips Python __new__
+
+
 @dataclass(frozen=True)
 class FpFormat:
     """A binary floating-point interchange format.
@@ -336,15 +349,15 @@ class FpFormat:
         if self.storage_bits < 1 + self.exp_bits + (self.precision - 1):
             raise ValueError("storage too narrow for the declared fields")
 
-    @property
+    @functools.cached_property
     def bias(self) -> int:
         return (1 << (self.exp_bits - 1)) - 1
 
-    @property
+    @functools.cached_property
     def emax(self) -> int:
         return self.bias
 
-    @property
+    @functools.cached_property
     def emin(self) -> int:
         return 1 - self.bias
 
@@ -428,26 +441,32 @@ def lookup_format(name: str) -> FpFormat:
 Value = Union[Dyadic, Special]
 
 
-def decode(bits: int, fmt: FpFormat) -> Value:
-    """Exact value of a bit pattern. All patterns decode; padding is ignored."""
+def decode_fields(bits: int, fmt: FpFormat) -> Union[Fields, Special]:
+    """``Fields`` or special value of a pattern; padding is ignored."""
     if bits < 0 or bits >> fmt.storage_bits:
         raise ValueError(f"pattern does not fit in {fmt.storage_bits} bits")
     frac_w = fmt.precision - 1
-    pad = fmt.pad_bits
-    frac = (bits >> pad) & ((1 << frac_w) - 1)
-    biased = (bits >> (pad + frac_w)) & ((1 << fmt.exp_bits) - 1)
-    sign = -1 if bits >> (fmt.storage_bits - 1) else 1
-    max_biased = (1 << fmt.exp_bits) - 1
-    if biased == max_biased:
+    word = bits >> fmt.pad_bits
+    frac = word & ((1 << frac_w) - 1)
+    biased = (word >> frac_w) & ((1 << fmt.exp_bits) - 1)
+    sign = -1 if word >> (fmt.exp_bits + frac_w) else 1
+    if biased == 0:
+        if frac == 0 or not fmt.subnormals:
+            return _fields((sign, 0, 0))
+        return _fields((sign, frac, fmt.emin - frac_w))
+    if biased == (1 << fmt.exp_bits) - 1:
         if frac:
             return NAN
         return POS_INF if sign > 0 else NEG_INF
-    if biased == 0:
-        if frac == 0 or not fmt.subnormals:
-            # Flush-on-read keeps the encoded sign of zero.
-            return ZERO if sign > 0 else NEG_ZERO
-        return Dyadic.make(sign, frac, fmt.emin - frac_w)
-    return Dyadic.make(sign, (1 << frac_w) | frac, biased - fmt.bias - frac_w)
+    return _fields((sign, (1 << frac_w) | frac, biased - fmt.bias - frac_w))
+
+
+def decode(bits: int, fmt: FpFormat) -> Value:
+    """Exact value of a bit pattern. All patterns decode; padding is ignored."""
+    f = decode_fields(bits, fmt)
+    if type(f) is Special:
+        return f
+    return Dyadic.make(*f) if f.sig else NEG_ZERO if f.sign < 0 else ZERO
 
 
 def encode(v: Value, fmt: FpFormat,
@@ -472,13 +491,15 @@ def encode(v: Value, fmt: FpFormat,
     elif v.sig == 0:
         word = 0
     else:
-        grid = max(v.floor_log2, fmt.emin) - frac_w
-        r = round_to_grid(v, grid, rm)
-        word = (((grid - fmt.emin + frac_w) << frac_w)
-                + (r.sig << (r.exp - grid)))
-        flags = EncodeFlags(inexact=r != v)
+        sign, sig, exp = v.sign, v.sig, v.exp
+        grid = max(exp + sig.bit_length() - 1, fmt.emin) - frac_w
+        shift = grid - exp
+        steps = _round_sig(sig, shift, sign, rm) if shift > 0 else sig << -shift
+        if shift > 0 and steps << shift != sig:
+            flags = EncodeFlags(inexact=True)
+        word = ((grid - fmt.emin + frac_w) << frac_w) + steps
         if word >= inf_word:
-            away = RoundingMode.RU if v.sign > 0 else RoundingMode.RD
+            away = RoundingMode.RU if sign > 0 else RoundingMode.RD
             to_inf = rm is RoundingMode.RNE or rm is away
             word = inf_word if to_inf else inf_word - 1
             flags = EncodeFlags(inexact=True, overflow=True)
@@ -492,7 +513,7 @@ def encode(v: Value, fmt: FpFormat,
 
 def bits_to_hex(bits: int, fmt: FpFormat) -> str:
     """Lowercase fixed-width hex, most-significant nibble first."""
-    return format(bits, f"0{fmt.hex_digits}x")
+    return "%0*x" % (fmt.hex_digits, bits)
 
 
 def hex_to_bits(text: str, fmt: FpFormat) -> int:

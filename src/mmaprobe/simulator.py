@@ -146,17 +146,18 @@ def exact_products(a: Sequence[Value], b: Sequence[Value],
     The model assumes products never need rounding.  ``2*p_in <= p_out``
     guarantees that, so such a pair returns at once; a narrower output
     format is accepted only if every finite product still fits ``p_out``
-    bits.  Operands come from ``decode``, so each is already exact in
+    bits.  Operands come from decoding, so each is already exact in
     ``fin``; ``Special`` operands are skipped.
     """
     if 2 * fin.precision <= fout.precision:
         return
     for x, y in zip(a, b):
-        # Canonical significands are odd, and so is their product.
-        if isinstance(x, Dyadic) and isinstance(y, Dyadic) \
-                and (x.sig * y.sig).bit_length() > fout.precision:
+        # Decoded significands may be even: count from the lowest set bit.
+        m = 0 if type(x) is Special or type(y) is Special else x.sig * y.sig
+        if m.bit_length() - (m & -m).bit_length() >= fout.precision:
             raise FormatContract(
-                f"product {x * y!r} needs more than {fout.precision} bits and "
+                f"product {Dyadic.make(x.sign * y.sign, m, x.exp + y.exp)!r} "
+                f"needs more than {fout.precision} bits and "
                 f"2*p_in > p_out for {fin.name}->{fout.name}")
 
 
@@ -183,19 +184,19 @@ def _resolve_specials(addends) -> Optional[Special]:
 
 def _special_product(x: Value, y: Value) -> Special:
     """Product of two values at least one of which is special."""
-    if x is NAN or y is NAN or (isinstance(x, Dyadic) and x.is_zero) \
-            or (isinstance(y, Dyadic) and y.is_zero):
+    if x is NAN or y is NAN or (type(x) is not Special and x.sig == 0) \
+            or (type(y) is not Special and y.sig == 0):
         return NAN  # a NaN operand, or Inf * 0
     return POS_INF if x.sign * y.sign > 0 else NEG_INF
 
 
 # The datapath below runs on signed-integer terms ``(m, e)`` meaning
-# ``m * 2**e``, not necessarily canonical.  A zero term has no sign;
-# ``mma_dot`` signs a zero result from the operands.
+# ``m * 2**e``, not necessarily canonical, from ``Dyadic`` or ``Fields``
+# operands.  A zero term has no sign; ``mma_dot`` signs a zero result.
 def _product_terms(a: Sequence[Value], b: Sequence[Value]) -> list:
     """Each exact product as a term, or as its special value."""
     return [(x.sign * y.sign * x.sig * y.sig, x.exp + y.exp)
-            if isinstance(x, Dyadic) and isinstance(y, Dyadic)
+            if type(x) is not Special and type(y) is not Special
             else _special_product(x, y) for x, y in zip(a, b)]
 
 
@@ -295,7 +296,7 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
     if cfg.ordering is Ordering.C_WITH_LAST:
         blocks.reverse()
     tree = cfg.ordering is Ordering.TREE_THEN_C  # c joins the block sum last
-    cterm = (c.sign * c.sig, c.exp) if isinstance(c, Dyadic) else c
+    cterm = (c.sign * c.sig, c.exp) if type(c) is not Special else c
     if not tree:
         blocks[0][0] = cterm
     p_out = fout.precision

@@ -1,5 +1,6 @@
 """Backend protocol, sessions, and scalar-to-matrix embedding tests."""
 
+import dataclasses
 import gc
 import io
 import json
@@ -28,6 +29,7 @@ from mmaprobe.backend import (
     TransportError,
     UnsupportedError,
     embed_scalar_test,
+    _dot_hex,
     _from_hex,
     _to_hex,
     _vector_hex,
@@ -46,6 +48,7 @@ from mmaprobe.formats import (
     Dyadic,
     FpFormat,
     RoundingMode,
+    Special,
     bits_to_hex,
     decode,
     encode,
@@ -55,7 +58,16 @@ from mmaprobe.formats import (
 from mmaprobe.inference import infer_features
 from mmaprobe.presets import load_config
 from mmaprobe.probes import ProbeVector, gen_ordering_probe
-from mmaprobe.simulator import BlockFmaConfig, FormatContract, mma_dot
+from mmaprobe.simulator import (
+    AlignmentPolicy,
+    BlockFmaConfig,
+    CarryOverflow,
+    FormatContract,
+    NormPolicy,
+    Ordering,
+    exact_products,
+    mma_dot,
+)
 
 B16 = REGISTRY["binary16"]
 B32 = REGISTRY["binary32"]
@@ -514,6 +526,17 @@ class TestCodecMemo:
         assert _from_hex("0001", B16) == tiny
         assert _from_hex("0001", ftz) == ZERO
 
+    def test_operand_fields_give_way_to_the_value(self, b16):
+        # An operand decode leaves bare fields, even significand included;
+        # a value decode of the same text replaces them with the Dyadic.
+        assert _from_hex("3e00", b16, True) == (1, 1536, -10)
+        assert type(b16.decode_memo["3e00"]) is not Dyadic
+        for _ in range(2):
+            v = _from_hex("3e00", b16)
+            assert type(v) is Dyadic and v == Dyadic(1, 3, -1)
+        assert _from_hex("3e00", b16, True) is v
+        assert _from_hex("8000", b16, True) == (-1, 0, 0)
+
     def test_memos_stay_within_the_bound(self):
         b32 = FpFormat("binary32", 24, 8, 32)
         peak = 0
@@ -586,6 +609,137 @@ class TestVectorWire:
         del vec
         gc.collect()
         assert ref() is None
+
+
+def _random_pattern(rng, fmt):
+    """Wire hex of a seeded pattern: mostly finite values near one, with
+    trailing zero fraction bits half the time, and some signed zeros,
+    subnormals, NaNs and infinities."""
+    frac_w = fmt.precision - 1
+    top = (1 << fmt.exp_bits) - 1
+    kind = rng.randrange(20)
+    frac = rng.getrandbits(frac_w)
+    if kind == 0:
+        biased, frac = 0, 0
+    elif kind < 3:
+        biased = 0
+    elif kind == 3:
+        biased, frac = top, rng.choice((0, frac | 1))
+    else:
+        biased = fmt.bias + rng.randint(-6, 6)
+        if kind % 2:
+            frac &= -(1 << rng.randint(0, frac_w))
+    bits = ((rng.getrandbits(1) << fmt.exp_bits | biased) << frac_w
+            | frac) << fmt.pad_bits
+    return bits_to_hex(bits, fmt)
+
+
+def _random_config(rng):
+    return BlockFmaConfig(
+        fma_width=rng.choice((1, 2, 4, 8)), n_eab=rng.randint(0, 3),
+        n_ecb=rng.randint(0, 4),
+        alignment_policy=rng.choice(list(AlignmentPolicy)),
+        norm_policy=rng.choice(list(NormPolicy)),
+        rm_intra=rng.choice(list(RoundingMode)),
+        rm_inter=rng.choice(list(RoundingMode)),
+        ordering=rng.choice(list(Ordering)),
+        blocks_per_tile=rng.randint(1, 3),
+        carry_overflow=rng.choice(list(CarryOverflow)))
+
+
+def _dyadic_path(a_hex, b_hex, c_hex, cfg, fin, fout):
+    """``_dot_hex`` restated on decoded ``Dyadic`` operands."""
+    a = [decode(hex_to_bits(h, fin), fin) for h in a_hex]
+    b = [decode(hex_to_bits(h, fin), fin) for h in b_hex]
+    c = decode(hex_to_bits(c_hex, fout), fout)
+    exact_products(a, b, fin, fout)
+    d = mma_dot(c, a, b, cfg, fout)
+    return bits_to_hex(encode(d, fout, cfg.rm_intra)[0], fout)
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except (FormatContract, ArithmeticError) as e:
+        return type(e), str(e)
+
+
+class TestDotHex:
+    """The evaluator on decoded fields answers as the ``Dyadic`` path."""
+
+    PAIRS = SimBackend(BlockFmaConfig()).handshake.pairs
+
+    @pytest.mark.parametrize("fin,fout", PAIRS,
+                             ids=["->".join(p) for p in PAIRS])
+    def test_matches_the_dyadic_path(self, fin, fout):
+        rng = random.Random(f"dot-hex:{fin}->{fout}")
+        # Fresh format objects, so every memo starts empty.
+        fmts = {name: dataclasses.replace(REGISTRY[name])
+                for name in (fin, fout)}
+        fin, fout = fmts[fin], fmts[fout]
+        errors = 0
+        for n in range(120):
+            cfg = _random_config(rng)
+            k = min(rng.choice((0, 1, 2, 3, cfg.max_k)), cfg.max_k)
+            a = [_random_pattern(rng, fin) for _ in range(k)]
+            b = [_random_pattern(rng, fin) for _ in range(k)]
+            c = _random_pattern(rng, fout)
+            if n % 2:
+                # Texts a reply decode stored as values, not fields.
+                for text in (*a, *b):
+                    _from_hex(text, fin)
+                _from_hex(c, fout)
+            want = _outcome(_dyadic_path, a, b, c, cfg, fin, fout)
+            assert _outcome(_dot_hex, a, b, c, cfg, fin, fout) == want, \
+                (cfg, a, b, c)
+            errors += isinstance(want, tuple)
+        assert errors < 120
+
+    @pytest.mark.parametrize("fout", ["binary32", "ftz"])
+    def test_flush_to_zero_input_through_a_tile(self, fout):
+        ftz = FpFormat("binary16", 11, 5, 16, subnormals=False)
+        fout = ftz if fout == "ftz" else B32
+        rng = random.Random(f"ftz-tile:{fout.name}")
+        for _ in range(20):
+            cfg = _random_config(rng)
+            k0 = rng.randint(1, min(cfg.max_k, 6))
+            A = [[_random_pattern(rng, ftz) for _ in range(k0)]
+                 for _ in range(2)]
+            B = [[_random_pattern(rng, ftz) for _ in range(3)]
+                 for _ in range(k0)]
+            C = [[_random_pattern(rng, fout) for _ in range(3)]
+                 for _ in range(2)]
+
+            def element_by_element():
+                return [[_dyadic_path(row, [B[l][j] for l in range(k0)],
+                                      C[i][j], cfg, ftz, fout)
+                         for j in range(3)] for i, row in enumerate(A)]
+
+            assert _outcome(evaluate_tile, A, B, C, cfg, ftz, fout) == \
+                _outcome(element_by_element)
+
+    def test_reaches_every_traced_name(self, monkeypatch):
+        # The benchmark tracer times the codec and the simulator by
+        # wrapping these names on ``backend``; with cold memos one request
+        # must reach each of them.
+        calls = {}
+        for name in ("encode", "decode", "hex_to_bits", "bits_to_hex",
+                     "exact_products", "mma_dot"):
+            def record(*args, _name=name, _fn=getattr(backend, name)):
+                calls.setdefault(_name, args)
+                return _fn(*args)
+            monkeypatch.setattr(backend, name, record)
+        for fmt in (B16, B32):
+            fmt.encode_memo.clear()
+            fmt.decode_memo.clear()
+        vec = ProbeVector("traced", pow2(-3), ((ONE, pow2(-1)),))
+        sess = SimBackend(BlockFmaConfig())
+        assert sess.run_vector(B16, B32, vec) == Dyadic.make(1, 5, -3)
+        assert sorted(calls) == sorted(("encode", "decode", "hex_to_bits",
+                                        "bits_to_hex", "exact_products",
+                                        "mma_dot"))
+        assert isinstance(calls["mma_dot"][3], BlockFmaConfig)
 
 
 class TestEmbedding:

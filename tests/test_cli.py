@@ -128,7 +128,14 @@ class TestProbeCommand:
         assert not report["complete"] and marker.exists()
         assert report["notes"][-1].startswith(
             "aborted: restarted backend changed its handshake to ")
-        assert len(report["evidence"]) == 2
+        # The lost third request is evidence too, with a Transport reply.
+        assert len(report["evidence"]) == 3
+        lost = report["evidence"][-1]
+        assert json.loads(lost["request"])["id"] == 3
+        reply = json.loads(lost["reply"])
+        assert reply["id"] == 3 and reply["error"]["code"] == "Transport"
+        assert reply["error"]["message"].startswith(
+            "restarted backend changed its handshake to ")
 
     def test_seed_params(self, capsys):
         code, out, _ = run(capsys, "probe", "--backend", AMPERE,

@@ -13,7 +13,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmaprobe.formats import (
@@ -418,6 +418,93 @@ def test_encode_matches_value_table(fmt):
                 if got != want:
                     bad.append((v, rm, got, want))
     assert not bad, bad[:5]
+
+
+def oracle_encode(v: Dyadic, fmt: FpFormat, rm: RoundingMode):
+    """Expected (value, flags) of a nonzero ``v`` in ``fmt``: ``v`` rounded
+    by the Fraction oracle on its binade's grid, then overflowed or flushed
+    by the format's range; the value is a ``Special`` or a ``Fraction``."""
+    grid = max(v.floor_log2, fmt.emin) - (fmt.precision - 1)
+    r = oracle_round_to_grid(v, grid, rm)
+    if abs(r) >= Fraction(2) ** (fmt.emax + 1):
+        if rm is RoundingMode.RNE or (rm, v.sign) in _AWAY:
+            r = POS_INF if v.sign > 0 else NEG_INF
+        else:
+            r = v.sign * fmt.max_finite.as_fraction()
+        return r, EncodeFlags(inexact=True, overflow=True)
+    if abs(r) < Fraction(2) ** fmt.emin and not fmt.subnormals:
+        return Fraction(0), EncodeFlags(inexact=True, underflow_flush=True)
+    return r, EncodeFlags(inexact=r != v.as_fraction())
+
+
+def _check_encode(fmt, v, rm) -> EncodeFlags:
+    want, want_flags = oracle_encode(v, fmt, rm)
+    bits, flags = encode(v, fmt, rm)
+    got = decode(bits, fmt)
+    assert flags == want_flags
+    if isinstance(want, Special):
+        assert got is want
+    else:
+        assert got.as_fraction() == want
+    # The sign survives rounding to zero and overflow; padding stays zero.
+    assert bits >> (fmt.storage_bits - 1) == (v.sign < 0)
+    assert bits & ((1 << fmt.pad_bits) - 1) == 0
+    return flags
+
+
+@st.composite
+def encode_cases(draw):
+    """A nonzero value whose leading bit lies anywhere from below the
+    smallest subnormal to past the largest finite value of the format."""
+    fmt = draw(st.sampled_from([B16, BF16, TF32, B32, B16_FTZ, E5M2]))
+    p = fmt.precision
+    sig = draw(st.integers(1, (1 << (p + 6)) - 1))
+    lead = draw(st.integers(fmt.emin - p - 1, fmt.emax + 1))
+    sign = draw(st.sampled_from((1, -1)))
+    return (fmt, Dyadic.make(sign, sig, lead - sig.bit_length() + 1),
+            draw(st.sampled_from(ALL_RMS)))
+
+
+@settings(derandomize=True, max_examples=1500)
+@given(encode_cases())
+def test_encode_matches_fraction_oracle(case):
+    _check_encode(*case)
+
+
+_ENCODE_EDGES = [
+    # Every bit kept rounds up: 2 - 2^-11 carries into the next binade.
+    ("carry", B16, Dyadic.make(1, (1 << 12) - 1, -11), RoundingMode.RNE),
+    ("carry", B16, -Dyadic.make(1, (1 << 12) - 1, -11), RoundingMode.RD),
+    # Half an ulp above the largest subnormal ties up to the smallest normal.
+    ("carry", B16, Dyadic.make(1, (1 << 11) - 1, -25), RoundingMode.RNE),
+    ("subnormal", B16, Dyadic.make(1, 5, -26), RoundingMode.RZ),
+    ("subnormal", B16, -Dyadic.make(1, 3, -26), RoundingMode.RD),
+    ("subnormal", TF32, Dyadic.make(1, 3, -140), RoundingMode.RU),
+    ("flush", B16_FTZ, Dyadic.make(1, 5, -26), RoundingMode.RZ),
+    ("flush", B16_FTZ, -pow2(-30), RoundingMode.RD),
+    ("flush", B16_FTZ, Dyadic.make(1, (1 << 11) - 1, -25), RoundingMode.RZ),
+] + [("overflow", B16, sign * pow2(16), rm)
+     for rm in ALL_RMS for sign in (ONE, -ONE)] + [
+    # Half an ulp past the largest finite value overflows only by rounding.
+    ("overflow", BF16, sign * Dyadic.make(1, 511, 119), rm)
+    for sign, rm in ((ONE, RoundingMode.RNE), (ONE, RoundingMode.RU),
+                     (-ONE, RoundingMode.RD))]
+
+
+@pytest.mark.parametrize("kind,fmt,v,rm", _ENCODE_EDGES,
+                         ids=[f"{k}-{f.name}-{v!r}-{rm.value}"
+                              for k, f, v, rm in _ENCODE_EDGES])
+def test_encode_edges_match_fraction_oracle(kind, fmt, v, rm):
+    flags = _check_encode(fmt, v, rm)
+    bits, _ = encode(v, fmt, rm)
+    got = decode(bits, fmt)
+    if kind == "carry":
+        assert got.floor_log2 > v.floor_log2
+    elif kind == "subnormal":
+        assert not got.is_zero and got.floor_log2 < fmt.emin
+    else:
+        assert flags.overflow == (kind == "overflow")
+        assert flags.underflow_flush == (kind == "flush")
 
 
 def test_hex_rendering():
