@@ -303,9 +303,8 @@ def _from_hex(text: str, fmt: FpFormat, fields: bool = False):
     """
     memo = fmt.decode_memo
     v = memo.get(text)
-    if v is None or (type(v) is Fields and not fields):
-        bits = hex_to_bits(text, fmt)
-        v = decode_fields(bits, fmt) if fields else decode(bits, fmt)
+    if v is None or (not fields and type(v) is Fields):
+        v = (decode_fields if fields else decode)(hex_to_bits(text, fmt), fmt)
         if len(text) == fmt.hex_digits:
             if len(memo) >= _MEMO_BOUND:
                 memo.clear()

@@ -315,15 +315,13 @@ class EncodeFlags(NamedTuple):
 NO_FLAGS = EncodeFlags()
 
 
-class Fields(NamedTuple):
-    """A finite pattern's ``sign * sig * 2**exp``; ``sig`` may be even."""
+@dataclass(slots=True)
+class Fields:
+    """A finite pattern's canonical fields; a zero keeps its sign."""
 
     sign: int
     sig: int
     exp: int
-
-
-_fields = functools.partial(tuple.__new__, Fields)  # skips Python __new__
 
 
 @dataclass(frozen=True)
@@ -452,21 +450,22 @@ def decode_fields(bits: int, fmt: FpFormat) -> Union[Fields, Special]:
     sign = -1 if word >> (fmt.exp_bits + frac_w) else 1
     if biased == 0:
         if frac == 0 or not fmt.subnormals:
-            return _fields((sign, 0, 0))
-        return _fields((sign, frac, fmt.emin - frac_w))
-    if biased == (1 << fmt.exp_bits) - 1:
+            return Fields(sign, 0, 0)
+        sig, exp = frac, fmt.emin - frac_w
+    elif biased == (1 << fmt.exp_bits) - 1:
         if frac:
             return NAN
         return POS_INF if sign > 0 else NEG_INF
-    return _fields((sign, (1 << frac_w) | frac, biased - fmt.bias - frac_w))
+    else:
+        sig, exp = (1 << frac_w) | frac, biased - fmt.bias - frac_w
+    shift = (sig & -sig).bit_length() - 1  # count of trailing zero bits
+    return Fields(sign, sig >> shift, exp + shift)
 
 
 def decode(bits: int, fmt: FpFormat) -> Value:
     """Exact value of a bit pattern. All patterns decode; padding is ignored."""
     f = decode_fields(bits, fmt)
-    if type(f) is Special:
-        return f
-    return Dyadic.make(*f) if f.sig else NEG_ZERO if f.sign < 0 else ZERO
+    return f if type(f) is Special else Dyadic(f.sign, f.sig, f.exp)
 
 
 def encode(v: Value, fmt: FpFormat,

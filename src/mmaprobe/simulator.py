@@ -152,12 +152,12 @@ def exact_products(a: Sequence[Value], b: Sequence[Value],
     if 2 * fin.precision <= fout.precision:
         return
     for x, y in zip(a, b):
-        # Decoded significands may be even: count from the lowest set bit.
-        m = 0 if type(x) is Special or type(y) is Special else x.sig * y.sig
-        if m.bit_length() - (m & -m).bit_length() >= fout.precision:
+        # Decoded significands are odd, and so is their product.
+        if type(x) is not Special and type(y) is not Special \
+                and (x.sig * y.sig).bit_length() > fout.precision:
+            xy = Dyadic(x.sign * y.sign, x.sig * y.sig, x.exp + y.exp)
             raise FormatContract(
-                f"product {Dyadic.make(x.sign * y.sign, m, x.exp + y.exp)!r} "
-                f"needs more than {fout.precision} bits and "
+                f"product {xy!r} needs more than {fout.precision} bits and "
                 f"2*p_in > p_out for {fin.name}->{fout.name}")
 
 

@@ -46,6 +46,7 @@ from mmaprobe.formats import (
     REGISTRY,
     ZERO,
     Dyadic,
+    Fields,
     FpFormat,
     RoundingMode,
     Special,
@@ -527,15 +528,14 @@ class TestCodecMemo:
         assert _from_hex("0001", ftz) == ZERO
 
     def test_operand_fields_give_way_to_the_value(self, b16):
-        # An operand decode leaves bare fields, even significand included;
-        # a value decode of the same text replaces them with the Dyadic.
-        assert _from_hex("3e00", b16, True) == (1, 1536, -10)
-        assert type(b16.decode_memo["3e00"]) is not Dyadic
+        # An operand decode leaves bare canonical fields; a value decode of
+        # the same text replaces them with the Dyadic.
+        assert _from_hex("3e00", b16, True) == Fields(1, 3, -1)
         for _ in range(2):
             v = _from_hex("3e00", b16)
             assert type(v) is Dyadic and v == Dyadic(1, 3, -1)
         assert _from_hex("3e00", b16, True) is v
-        assert _from_hex("8000", b16, True) == (-1, 0, 0)
+        assert _from_hex("8000", b16, True) == Fields(-1, 0, 0)
 
     def test_memos_stay_within_the_bound(self):
         b32 = FpFormat("binary32", 24, 8, 32)
