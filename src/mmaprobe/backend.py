@@ -34,7 +34,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .formats import (
-    Fields,
     FpFormat,
     REGISTRY,
     RoundingMode,
@@ -244,7 +243,8 @@ class _SessionBase:
             reply = self.evaluate(req)
         except BackendError as e:  # the lost request is evidence too
             self.log.append(EvidenceEntry(vec.label, req.to_json(), MmaReply(
-                req.id, error_code="Transport", error_message=str(e)).to_json()))
+                req.id, error_code="Transport",
+                error_message=str(e)).to_json()))
             raise
         self.log.append(EvidenceEntry(vec.label, req.to_json(),
                                       reply.to_json()))
@@ -296,20 +296,24 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
 
 
 def _from_hex(text: str, fmt: FpFormat, fields: bool = False):
-    """Value of a wire pattern, or with ``fields`` maybe its bare
-    ``Fields``, memoised per format by the exact text; a ``Fields`` entry
-    answers only ``fields`` calls.  Only texts of the format's fixed width
-    are stored, so a padded text from a child cannot make a key of any size.
+    """Value of a wire pattern, or with ``fields`` its ``Fields`` (no
+    ``Dyadic`` built), memoised per format by the exact text; a value is
+    kept on its fields.  Only texts of the format's fixed width are stored,
+    so a padded text from a child cannot make a key of any size.
     """
     memo = fmt.decode_memo
-    v = memo.get(text)
-    if v is None or (not fields and type(v) is Fields):
-        v = (decode_fields if fields else decode)(hex_to_bits(text, fmt), fmt)
+    f = memo.get(text)
+    if f is None:
+        f = decode_fields(hex_to_bits(text, fmt), fmt)
         if len(text) == fmt.hex_digits:
             if len(memo) >= _MEMO_BOUND:
                 memo.clear()
-            memo[text] = v
-    return v
+            memo[text] = f
+    if fields or type(f) is Special:
+        return f
+    if f.value is None:
+        f.value = decode(hex_to_bits(text, fmt), fmt)
+    return f.value
 
 
 def _vector_hex(vec: ProbeVector, fin: FpFormat, fout: FpFormat,

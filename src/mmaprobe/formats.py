@@ -315,13 +315,13 @@ class EncodeFlags(NamedTuple):
 NO_FLAGS = EncodeFlags()
 
 
-@dataclass(slots=True)
 class Fields:
-    """A finite pattern's canonical fields; a zero keeps its sign."""
+    """Canonical signed fields of a pattern; ``value`` caches its Dyadic."""
 
-    sign: int
-    sig: int
-    exp: int
+    __slots__ = ("sign", "sig", "exp", "value")
+
+    def __init__(self, sign: int, sig: int, exp: int) -> None:
+        self.sign, self.sig, self.exp, self.value = sign, sig, exp, None
 
 
 @dataclass(frozen=True)
@@ -453,9 +453,7 @@ def decode_fields(bits: int, fmt: FpFormat) -> Union[Fields, Special]:
             return Fields(sign, 0, 0)
         sig, exp = frac, fmt.emin - frac_w
     elif biased == (1 << fmt.exp_bits) - 1:
-        if frac:
-            return NAN
-        return POS_INF if sign > 0 else NEG_INF
+        return NAN if frac else POS_INF if sign > 0 else NEG_INF
     else:
         sig, exp = (1 << frac_w) | frac, biased - fmt.bias - frac_w
     shift = (sig & -sig).bit_length() - 1  # count of trailing zero bits
@@ -492,9 +490,9 @@ def encode(v: Value, fmt: FpFormat,
     else:
         sign, sig, exp = v.sign, v.sig, v.exp
         grid = max(exp + sig.bit_length() - 1, fmt.emin) - frac_w
-        shift = grid - exp
-        steps = _round_sig(sig, shift, sign, rm) if shift > 0 else sig << -shift
-        if shift > 0 and steps << shift != sig:
+        drop = grid - exp
+        steps = _round_sig(sig, drop, sign, rm) if drop > 0 else sig << -drop
+        if drop > 0 and steps << drop != sig:
             flags = EncodeFlags(inexact=True)
         word = ((grid - fmt.emin + frac_w) << frac_w) + steps
         if word >= inf_word:

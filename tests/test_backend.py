@@ -527,15 +527,19 @@ class TestCodecMemo:
         assert _from_hex("0001", B16) == tiny
         assert _from_hex("0001", ftz) == ZERO
 
-    def test_operand_fields_give_way_to_the_value(self, b16):
-        # An operand decode leaves bare canonical fields; a value decode of
-        # the same text replaces them with the Dyadic.
-        assert _from_hex("3e00", b16, True) == Fields(1, 3, -1)
+    def test_operand_and_value_share_one_entry(self, b16):
+        # An operand decode stores canonical fields and builds no Dyadic; a
+        # value decode of the same text builds one and keeps it on them, so
+        # operands stay one type.
+        f = _from_hex("3e00", b16, True)
+        assert type(f) is Fields and (f.sign, f.sig, f.exp) == (1, 3, -1)
+        assert f.value is None
         for _ in range(2):
             v = _from_hex("3e00", b16)
             assert type(v) is Dyadic and v == Dyadic(1, 3, -1)
-        assert _from_hex("3e00", b16, True) is v
-        assert _from_hex("8000", b16, True) == Fields(-1, 0, 0)
+        assert f.value is v and _from_hex("3e00", b16, True) is f
+        f = _from_hex("8000", b16, True)
+        assert (f.sign, f.sig, f.exp) == (-1, 0, 0)
 
     def test_memos_stay_within_the_bound(self):
         b32 = FpFormat("binary32", 24, 8, 32)
