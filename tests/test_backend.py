@@ -49,7 +49,6 @@ from mmaprobe.formats import (
     Fields,
     FpFormat,
     RoundingMode,
-    Special,
     bits_to_hex,
     decode,
     encode,
