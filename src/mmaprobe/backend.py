@@ -34,6 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .formats import (
+    Fields,
     FpFormat,
     REGISTRY,
     RoundingMode,
@@ -216,6 +217,7 @@ class _SessionBase:
     def __init__(self) -> None:
         self._next_id = 0
         self.log: list[EvidenceEntry] = []
+        self.restarts: list[str] = []  # why each exec child was replaced
 
     def evaluate(self, req: MmaRequest) -> MmaReply:  # pragma: no cover
         raise NotImplementedError
@@ -263,8 +265,16 @@ class _SessionBase:
 
 # Entries a format's encode or decode memo holds; a full memo is cleared.
 # Probe vectors repeat a few hundred patterns at most, while random
-# operands never repeat, so a larger memo buys nothing but memory.
+# operands never repeat, so a larger memo buys nothing but memory.  An
+# exact encode also stores its text's entry in the decode memo, so a
+# request this process encoded decodes no operand.
 _MEMO_BOUND = 1024
+
+
+def _remember(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_BOUND:
+        memo.clear()
+    memo[key] = value
 
 
 def _to_hex(v: Value, fmt: FpFormat, what: str,
@@ -277,7 +287,10 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
     per format by the value's fields and ``rm``, never by the ``Dyadic``
     itself (it hashes -0 equal to +0); enum members are keyed by their
     plain string values, which hash cheaply.  Without ``rm`` only exact
-    results are stored, so an inexact value raises on every call.
+    results are stored, so an inexact value raises on every call; each
+    also seeds the decode memo with what ``_from_hex`` reads from the
+    text: the ``Special``, or canonical ``Fields`` that keep ``v``.
+    Rounded results seed nothing.
     """
     mode = None if rm is None else rm._value_
     key = ((v._value_, mode) if type(v) is Special
@@ -289,29 +302,32 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
         if rm is None and flags.inexact:
             raise FormatContract(f"{what} not exact in {fmt.name}")
         text = bits_to_hex(bits, fmt)
-        if len(memo) >= _MEMO_BOUND:
-            memo.clear()
-        memo[key] = text
+        _remember(memo, key, text)
+        if rm is None:
+            _remember(fmt.decode_memo, text, v if type(v) is Special
+                      else Fields(v.sign, v.sig, v.exp, v))
     return text
 
 
 def _from_hex(text: str, fmt: FpFormat, fields: bool = False):
     """Value of a wire pattern, or with ``fields`` its ``Fields`` (no
-    ``Dyadic`` built), memoised per format by the exact text; a value is
-    kept on its fields.  Only texts of the format's fixed width are stored,
-    so a padded text from a child cannot make a key of any size.
+    ``Dyadic`` built), memoised per format by the exact text (an exact
+    ``_to_hex`` stores its own texts); a value is kept on its fields.  Only
+    texts of the format's fixed width are stored, so a padded text from a
+    child cannot make a key of any size.
     """
     memo = fmt.decode_memo
     f = memo.get(text)
     if f is None:
-        f = decode_fields(hex_to_bits(text, fmt), fmt)
+        bits = hex_to_bits(text, fmt)
+        f = decode_fields(bits, fmt)
+        if not (fields or type(f) is Special):
+            f.value = decode(bits, fmt)
         if len(text) == fmt.hex_digits:
-            if len(memo) >= _MEMO_BOUND:
-                memo.clear()
-            memo[text] = f
+            _remember(memo, text, f)
     if fields or type(f) is Special:
         return f
-    if f.value is None:
+    if f.value is None:  # an operand's entry, read back as a value
         f.value = decode(hex_to_bits(text, fmt), fmt)
     return f.value
 
@@ -444,8 +460,9 @@ class ExecBackend(_SessionBase):
 
     One in-flight request at a time; a transport failure triggers one
     restart-and-resend before giving up, and a timeout replaces the child
-    before it is raised.  A replacement child with another handshake would
-    change a report's basis mid-run, so that restart is a transport failure.
+    before it is raised; ``restarts`` records the reason for each
+    replacement.  A replacement child with another handshake would change a
+    report's basis mid-run, so that restart is a transport failure.
     """
 
     def __init__(self, command: str, timeout: float = 30.0) -> None:
@@ -497,16 +514,19 @@ class ExecBackend(_SessionBase):
                 f"reply id {reply.id} does not match request {req.id}")
         return reply
 
+    def _restart(self, reason: BackendError) -> None:
+        self.close()
+        self._start()
+        self.restarts.append(str(reason))
+
     def evaluate(self, req: MmaRequest) -> MmaReply:
         try:
             return self._round_trip(req)
-        except BackendTimeout:
-            self.close()
-            self._start()
+        except BackendTimeout as e:
+            self._restart(e)
             raise
-        except TransportError:
-            self.close()
-            self._start()
+        except TransportError as e:
+            self._restart(e)
             return self._round_trip(req)
 
     def close(self) -> None:

@@ -20,7 +20,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 __all__ = [
     "RoundingMode",
@@ -320,8 +320,9 @@ class Fields:
 
     __slots__ = ("sign", "sig", "exp", "value")
 
-    def __init__(self, sign: int, sig: int, exp: int) -> None:
-        self.sign, self.sig, self.exp, self.value = sign, sig, exp, None
+    def __init__(self, sign: int, sig: int, exp: int,
+                 value: Optional[Dyadic] = None) -> None:
+        self.sign, self.sig, self.exp, self.value = sign, sig, exp, value
 
 
 @dataclass(frozen=True)

@@ -199,12 +199,13 @@ class _Planner(_State):
 
 def infer_features(session, fin_name: str, fout_name: str,
                    options: Optional[InferOptions] = None) -> FeatureReport:
-    """Run the ``_STAGES`` table in order against a backend session."""
+    """Run the ``_STAGES`` table in order against a backend session; each
+    exec child restart during the run adds a note with its reason."""
     fin = lookup_format(fin_name)
     fout = lookup_format(fout_name)
     report = FeatureReport(fin=fin.name, fout=fout.name)
     state = _State(session, fin, fout, options or InferOptions(), report)
-    start = len(session.log)
+    start, restarts = len(session.log), len(session.restarts)
     try:
         for name, stage in _STAGES:
             try:
@@ -220,6 +221,8 @@ def infer_features(session, fin_name: str, fout_name: str,
         report.complete = False
         report.notes.append(f"aborted: {e}")
     finally:
+        report.notes += [f"exec child restarted: {r}"
+                         for r in session.restarts[restarts:]]
         report.evidence = [
             {"label": x.label, "request": x.request, "reply": x.reply}
             for x in session.log[start:]]

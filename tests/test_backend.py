@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -49,8 +50,10 @@ from mmaprobe.formats import (
     Fields,
     FpFormat,
     RoundingMode,
+    Special,
     bits_to_hex,
     decode,
+    decode_fields,
     encode,
     hex_to_bits,
     pow2,
@@ -68,6 +71,7 @@ from mmaprobe.simulator import (
     exact_products,
     mma_dot,
 )
+from test_formats import _finite_patterns
 
 B16 = REGISTRY["binary16"]
 B32 = REGISTRY["binary32"]
@@ -433,7 +437,9 @@ class TestExecLoopback:
         finally:
             child.close()
         assert not first.complete
-        assert any("no reply within" in n for n in first.notes)
+        assert first.notes[-2:] == ["aborted: no reply within 2.0s",
+                                    "exec child restarted: no reply within "
+                                    "2.0s"]
         inproc = SimBackend(load_config("ampere"))
         inproc._take_id()  # the wire session spent id 1 on the lost request
         expected = infer_features(inproc, "binary16", "binary32")
@@ -443,6 +449,42 @@ class TestExecLoopback:
         # answered request 2 and no request was resent.
         received = [int(x) for x in ids.read_text().split()]
         assert received == list(range(1, len(second.evidence) + 2))
+
+    def test_restart_mid_report_is_a_note(self, tmp_path):
+        # The child dies on its sixth request; its replacement answers the
+        # resent request and the rest, so only the note tells them apart.
+        marker = tmp_path / "died-once"
+        script = tmp_path / "dies-once.py"
+        script.write_text(
+            "import sys, pathlib\n"
+            "from mmaprobe.backend import MmaRequest, SimBackend\n"
+            "from mmaprobe.presets import load_config\n"
+            f"marker = pathlib.Path({str(marker)!r})\n"
+            "restarted = marker.exists()\n"
+            "sim = SimBackend(load_config('ampere'))\n"
+            "print(sim.handshake.to_json(), flush=True)\n"
+            "for n, line in enumerate(sys.stdin):\n"
+            "    if n == 5 and not restarted:\n"
+            "        marker.touch()\n"
+            "        sys.exit(1)\n"
+            "    req = MmaRequest.from_json(line)\n"
+            "    print(sim.evaluate(req).to_json(), flush=True)\n")
+        child = ExecBackend(f"{sys.executable} {script}", timeout=30.0)
+        try:
+            rep = infer_features(child, "binary16", "binary32")
+            again = infer_features(child, "binary16", "binary32")
+        finally:
+            child.close()
+        assert child.restarts == ["child closed stdout"]
+        inproc = SimBackend(load_config("ampere"))
+        expected = infer_features(inproc, "binary16", "binary32")
+        assert rep.complete and marker.exists()
+        assert rep.notes == expected.notes + [
+            "exec child restarted: child closed stdout"]
+        rep.notes = expected.notes
+        assert rep.to_json() == expected.to_json()
+        assert again.to_json() == infer_features(
+            inproc, "binary16", "binary32").to_json()
 
     def test_endless_reply_line_is_a_transport_failure(self, tmp_path):
         script = tmp_path / "endless.py"
@@ -550,6 +592,81 @@ class TestCodecMemo:
             assert _from_hex(text, b32) == v
             peak = max(peak, len(b32.encode_memo), len(b32.decode_memo))
         assert peak == _MEMO_BOUND
+        # Exact encodes alone fill both memos; rounded ones only their own.
+        for rm in (None, RoundingMode.RNE):
+            b32 = FpFormat("binary32", 24, 8, 32)
+            peaks = {"encode": 0, "decode": 0}
+            for i in range(1, 3 * _MEMO_BOUND + 1):
+                _to_hex(Dyadic.from_int(i), b32, "n", rm)
+                peaks["encode"] = max(peaks["encode"], len(b32.encode_memo))
+                peaks["decode"] = max(peaks["decode"], len(b32.decode_memo))
+            assert peaks == {"encode": _MEMO_BOUND,
+                             "decode": _MEMO_BOUND if rm is None else 0}
+
+    @pytest.mark.parametrize("fmt", [
+        B16, REGISTRY["bfloat16"],
+        FpFormat("binary16", 11, 5, 16, subnormals=False),
+        REGISTRY["TensorFloat32"], B32,
+    ], ids=["binary16", "bfloat16", "binary16-ftz", "TensorFloat32",
+            "binary32"])
+    def test_exact_encode_seeds_what_decode_reads(self, fmt):
+        # The entry an exact encode leaves for its text is what a decode
+        # of that text would store: the same Special, or the same
+        # canonical fields carrying the decoded value.  Every 16-bit
+        # pattern is covered.
+        fresh = dataclasses.replace(fmt)
+        values = itertools.chain(
+            (decode(p, fmt) for p in _finite_patterns(fmt)),
+            (NAN, POS_INF, NEG_INF))
+        bad = []
+        for v in values:
+            fresh.encode_memo.clear()
+            fresh.decode_memo.clear()
+            text = _to_hex(v, fresh, "pattern")
+            (key, got), = fresh.decode_memo.items()
+            bits = hex_to_bits(text, fmt)
+            want = decode_fields(bits, fmt)
+            if type(want) is Special:
+                ok = got is want
+            else:
+                ref = decode(bits, fmt)
+                ok = (type(got) is Fields and type(got.value) is Dyadic
+                      and (got.sign, got.sig, got.exp)
+                      == (want.sign, want.sig, want.exp)
+                      and (got.value.sign, got.value.sig, got.value.exp)
+                      == (ref.sign, ref.sig, ref.exp))
+            if key != text or not ok:
+                bad.append(text)
+        assert bad == []
+
+    def test_inexact_operand_seeds_nothing(self, b16):
+        ftz = FpFormat("binary16", 11, 5, 16, subnormals=False)
+        for fmt, v in [(b16, ONE + pow2(-20)),       # too many bits
+                       (b16, pow2(16)),              # overflow
+                       (ftz, B16.min_subnormal)]:    # flushed subnormal
+            _to_hex(ONE, fmt, "one")
+            memos = dict(fmt.encode_memo), dict(fmt.decode_memo)
+            with pytest.raises(FormatContract):
+                _to_hex(v, fmt, "operand")
+            assert (fmt.encode_memo, fmt.decode_memo) == memos
+
+    def test_cold_request_decodes_only_its_reply(self, monkeypatch):
+        # Every operand was encoded in this process, so only the reply,
+        # a rounded result, is parsed, and only once.
+        calls = []
+        for name in ("decode_fields", "hex_to_bits"):
+            def record(*args, _name=name, _fn=getattr(backend, name)):
+                calls.append((_name,) + args)
+                return _fn(*args)
+            monkeypatch.setattr(backend, name, record)
+        for fmt in (B16, B32):
+            fmt.encode_memo.clear()
+            fmt.decode_memo.clear()
+        vec = ProbeVector("cold", pow2(-3), ((ONE, pow2(-1)), (ONE, ONE)))
+        sess = SimBackend(BlockFmaConfig())
+        assert sess.run_vector(B16, B32, vec) == Dyadic.make(1, 13, -3)
+        assert calls == [("hex_to_bits", "3fd00000", B32),  # 1.625
+                         ("decode_fields", 0x3fd00000, B32)]
 
     def test_only_valid_fixed_width_texts_are_memoised(self, b16):
         for _ in range(2):
