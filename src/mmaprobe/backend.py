@@ -271,12 +271,6 @@ class _SessionBase:
 _MEMO_BOUND = 1024
 
 
-def _remember(memo: dict, key, value) -> None:
-    if len(memo) >= _MEMO_BOUND:
-        memo.clear()
-    memo[key] = value
-
-
 def _to_hex(v: Value, fmt: FpFormat, what: str,
             rm: Optional[RoundingMode] = None) -> str:
     """Wire hex of ``v`` in ``fmt``, rounded under ``rm`` if one is given.
@@ -302,10 +296,15 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
         if rm is None and flags.inexact:
             raise FormatContract(f"{what} not exact in {fmt.name}")
         text = bits_to_hex(bits, fmt)
-        _remember(memo, key, text)
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        memo[key] = text
         if rm is None:
-            _remember(fmt.decode_memo, text, v if type(v) is Special
-                      else Fields(v.sign, v.sig, v.exp, v))
+            memo = fmt.decode_memo
+            if len(memo) >= _MEMO_BOUND:
+                memo.clear()
+            memo[text] = (v if type(v) is Special
+                          else Fields(v.sign, v.sig, v.exp, v))
     return text
 
 
@@ -324,7 +323,9 @@ def _from_hex(text: str, fmt: FpFormat, fields: bool = False):
         if not (fields or type(f) is Special):
             f.value = decode(bits, fmt)
         if len(text) == fmt.hex_digits:
-            _remember(memo, text, f)
+            if len(memo) >= _MEMO_BOUND:
+                memo.clear()
+            memo[text] = f
     if fields or type(f) is Special:
         return f
     if f.value is None:  # an operand's entry, read back as a value
@@ -514,19 +515,15 @@ class ExecBackend(_SessionBase):
                 f"reply id {reply.id} does not match request {req.id}")
         return reply
 
-    def _restart(self, reason: BackendError) -> None:
-        self.close()
-        self._start()
-        self.restarts.append(str(reason))
-
     def evaluate(self, req: MmaRequest) -> MmaReply:
         try:
             return self._round_trip(req)
-        except BackendTimeout as e:
-            self._restart(e)
-            raise
-        except TransportError as e:
-            self._restart(e)
+        except (BackendTimeout, TransportError) as e:
+            self.close()
+            self._start()
+            self.restarts.append(str(e))
+            if isinstance(e, BackendTimeout):
+                raise
             return self._round_trip(req)
 
     def close(self) -> None:
