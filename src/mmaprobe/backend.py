@@ -300,11 +300,11 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
             memo.clear()
         memo[key] = text
         if rm is None:
-            memo = fmt.decode_memo
-            if len(memo) >= _MEMO_BOUND:
-                memo.clear()
-            memo[text] = (v if type(v) is Special
-                          else Fields(v.sign, v.sig, v.exp, v))
+            decoded = fmt.decode_memo
+            if len(decoded) >= _MEMO_BOUND:
+                decoded.clear()
+            decoded[text] = (v if type(v) is Special
+                             else Fields(v.sign, v.sig, v.exp, v))
     return text
 
 
