@@ -34,7 +34,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .formats import (
-    Fields,
     FpFormat,
     REGISTRY,
     RoundingMode,
@@ -43,7 +42,6 @@ from .formats import (
     ZERO,
     bits_to_hex,
     decode,
-    decode_fields,
     encode,
     hex_to_bits,
 )
@@ -266,7 +264,7 @@ class _SessionBase:
 # Entries a format's encode or decode memo holds; a full memo is cleared.
 # Probe vectors repeat a few hundred patterns at most, while random
 # operands never repeat, so a larger memo buys nothing but memory.  An
-# exact encode also stores its text's entry in the decode memo, so a
+# exact encode also stores its text's value in the decode memo, so a
 # request this process encoded decodes no operand.
 _MEMO_BOUND = 1024
 
@@ -282,9 +280,8 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
     itself (it hashes -0 equal to +0); enum members are keyed by their
     plain string values, which hash cheaply.  Without ``rm`` only exact
     results are stored, so an inexact value raises on every call; each
-    also seeds the decode memo with what ``_from_hex`` reads from the
-    text: the ``Special``, or canonical ``Fields`` that keep ``v``.
-    Rounded results seed nothing.
+    also seeds the decode memo with ``v``, the value ``_from_hex`` reads
+    from the text.  Rounded results seed nothing.
     """
     mode = None if rm is None else rm._value_
     key = ((v._value_, mode) if type(v) is Special
@@ -303,34 +300,25 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
             decoded = fmt.decode_memo
             if len(decoded) >= _MEMO_BOUND:
                 decoded.clear()
-            decoded[text] = (v if type(v) is Special
-                             else Fields(v.sign, v.sig, v.exp, v))
+            decoded[text] = v
     return text
 
 
-def _from_hex(text: str, fmt: FpFormat, fields: bool = False):
-    """Value of a wire pattern, or with ``fields`` its ``Fields`` (no
-    ``Dyadic`` built), memoised per format by the exact text (an exact
-    ``_to_hex`` stores its own texts); a value is kept on its fields.  Only
-    texts of the format's fixed width are stored, so a padded text from a
-    child cannot make a key of any size.
+def _from_hex(text: str, fmt: FpFormat) -> Value:
+    """Value of a wire pattern, memoised per format by the exact text (an
+    exact ``_to_hex`` stores its own texts).  Only texts of the format's
+    fixed width are stored, so a padded text from a child cannot make a
+    key of any size.
     """
     memo = fmt.decode_memo
-    f = memo.get(text)
-    if f is None:
-        bits = hex_to_bits(text, fmt)
-        f = decode_fields(bits, fmt)
-        if not (fields or type(f) is Special):
-            f.value = decode(bits, fmt)
+    v = memo.get(text)
+    if v is None:
+        v = decode(hex_to_bits(text, fmt), fmt)
         if len(text) == fmt.hex_digits:
             if len(memo) >= _MEMO_BOUND:
                 memo.clear()
-            memo[text] = f
-    if fields or type(f) is Special:
-        return f
-    if f.value is None:  # an operand's entry, read back as a value
-        f.value = decode(hex_to_bits(text, fmt), fmt)
-    return f.value
+            memo[text] = v
+    return v
 
 
 def _vector_hex(vec: ProbeVector, fin: FpFormat, fout: FpFormat,
@@ -359,9 +347,9 @@ def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
     Raises ``ValueError`` on a malformed pattern, ``FormatContract`` when a
     product is not exact, ``ArithmeticError`` from the simulator.
     """
-    a = [_from_hex(h, fin, True) for h in a_hex]
-    b = [_from_hex(h, fin, True) for h in b_hex]
-    c = _from_hex(c_hex, fout, True)
+    a = [_from_hex(h, fin) for h in a_hex]
+    b = [_from_hex(h, fin) for h in b_hex]
+    c = _from_hex(c_hex, fout)
     exact_products(a, b, fin, fout)
     d = mma_dot(c, a, b, cfg, fout)
     return _to_hex(d, fout, "result", cfg.rm_intra)

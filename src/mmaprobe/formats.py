@@ -9,7 +9,7 @@ Everything the rest of the package computes with flows through two types:
 * ``FpFormat`` -- a binary interchange format description (significand bits
   including the implicit bit, exponent field width, subnormal support,
   storage width).  ``decode``/``encode`` convert bit patterns to and from
-  ``Dyadic``/``Special`` values bit-exactly; ``decode_fields`` to ``Fields``.
+  ``Dyadic``/``Special`` values bit-exactly.
 
 No floats are used anywhere; rounding is implemented on integers.
 """
@@ -20,7 +20,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "RoundingMode",
@@ -34,15 +34,11 @@ __all__ = [
     "ONE",
     "pow2",
     "sum_of_pow2",
-    "round_to_precision",
-    "round_to_grid",
     "EncodeFlags",
     "NO_FLAGS",
-    "Fields",
     "FpFormat",
     "REGISTRY",
     "lookup_format",
-    "decode_fields",
     "decode",
     "encode",
     "bits_to_hex",
@@ -279,31 +275,6 @@ def _round_sig(sig: int, shift: int, sign: int, rm: RoundingMode) -> int:
     return kept + (kept & 1)
 
 
-def round_to_precision(v: Dyadic, p: int, rm: RoundingMode) -> Dyadic:
-    """Round ``v`` to at most ``p`` significand bits under ``rm``.
-
-    Exact when the significand already fits; zero maps to itself.
-    """
-    if p < 1:
-        raise ValueError("precision must be >= 1")
-    if v.sig == 0:
-        return v
-    return round_to_grid(v, v.floor_log2 - p + 1, rm)
-
-
-def round_to_grid(v: Dyadic, grid_exp: int, rm: RoundingMode) -> Dyadic:
-    """Round ``v`` to an integer multiple of ``2**grid_exp`` under ``rm``.
-
-    This is the significand-alignment kernel: bits below the grid are
-    rounded/truncated in sign-magnitude form, exactly as a shifter that
-    drops bits past a fixed fraction position would.
-    """
-    shift = grid_exp - v.exp
-    if v.sig == 0 or shift <= 0:
-        return v
-    return Dyadic.make(v.sign, _round_sig(v.sig, shift, v.sign, rm), grid_exp)
-
-
 class EncodeFlags(NamedTuple):
     """Side conditions raised while encoding a value into a format."""
 
@@ -313,16 +284,6 @@ class EncodeFlags(NamedTuple):
 
 
 NO_FLAGS = EncodeFlags()
-
-
-class Fields:
-    """Canonical signed fields of a pattern; ``value`` caches its Dyadic."""
-
-    __slots__ = ("sign", "sig", "exp", "value")
-
-    def __init__(self, sign: int, sig: int, exp: int,
-                 value: Optional[Dyadic] = None) -> None:
-        self.sign, self.sig, self.exp, self.value = sign, sig, exp, value
 
 
 @dataclass(frozen=True)
@@ -440,8 +401,8 @@ def lookup_format(name: str) -> FpFormat:
 Value = Union[Dyadic, Special]
 
 
-def decode_fields(bits: int, fmt: FpFormat) -> Union[Fields, Special]:
-    """``Fields`` or special value of a pattern; padding is ignored."""
+def decode(bits: int, fmt: FpFormat) -> Value:
+    """Exact value of a bit pattern. All patterns decode; padding is ignored."""
     if bits < 0 or bits >> fmt.storage_bits:
         raise ValueError(f"pattern does not fit in {fmt.storage_bits} bits")
     frac_w = fmt.precision - 1
@@ -451,20 +412,14 @@ def decode_fields(bits: int, fmt: FpFormat) -> Union[Fields, Special]:
     sign = -1 if word >> (fmt.exp_bits + frac_w) else 1
     if biased == 0:
         if frac == 0 or not fmt.subnormals:
-            return Fields(sign, 0, 0)
+            return ZERO if sign > 0 else NEG_ZERO
         sig, exp = frac, fmt.emin - frac_w
     elif biased == (1 << fmt.exp_bits) - 1:
         return NAN if frac else POS_INF if sign > 0 else NEG_INF
     else:
         sig, exp = (1 << frac_w) | frac, biased - fmt.bias - frac_w
     shift = (sig & -sig).bit_length() - 1  # count of trailing zero bits
-    return Fields(sign, sig >> shift, exp + shift)
-
-
-def decode(bits: int, fmt: FpFormat) -> Value:
-    """Exact value of a bit pattern. All patterns decode; padding is ignored."""
-    f = decode_fields(bits, fmt)
-    return f if type(f) is Special else Dyadic(f.sign, f.sig, f.exp)
+    return Dyadic(sign, sig >> shift, exp + shift)
 
 
 def encode(v: Value, fmt: FpFormat,

@@ -191,8 +191,8 @@ def _special_product(x: Value, y: Value) -> Special:
 
 
 # The datapath below runs on signed-integer terms ``(m, e)`` meaning
-# ``m * 2**e``, not necessarily canonical, from ``Dyadic`` or ``Fields``
-# operands.  A zero term has no sign; ``mma_dot`` signs a zero result.
+# ``m * 2**e``, not necessarily canonical, from ``Dyadic`` operands.  A
+# zero term has no sign; ``mma_dot`` signs a zero result.
 def _product_terms(a: Sequence[Value], b: Sequence[Value]) -> list:
     """Each exact product as a term, or as its special value."""
     return [(x.sign * y.sign * x.sig * y.sig, x.exp + y.exp)

@@ -24,8 +24,9 @@ from mmaprobe.formats import (
     REGISTRY,
     Dyadic,
     RoundingMode,
+    decode,
+    encode,
     lookup_format,
-    round_to_precision,
 )
 from mmaprobe.inference import QUAL_EXACT, InferOptions, infer_features
 from mmaprobe.presets import load_config
@@ -209,7 +210,7 @@ def test_criterion_5_oracle_equivalence_10k():
         c = Dyadic.make(rng.choice((1, -1)), rng.randrange(0, 1 << 24),
                         rng.randrange(-30, 6))
         got = block_fma(c, a, b, cfg, B32)
-        want = round_to_precision(exact_oracle(c, a, b), 24, rm)
+        want = decode(encode(exact_oracle(c, a, b), B32, rm)[0], B32)
         if got != want:
             mismatches += 1
     ok = mismatches == 0

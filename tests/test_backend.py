@@ -47,13 +47,11 @@ from mmaprobe.formats import (
     REGISTRY,
     ZERO,
     Dyadic,
-    Fields,
     FpFormat,
     RoundingMode,
     Special,
     bits_to_hex,
     decode,
-    decode_fields,
     encode,
     hex_to_bits,
     pow2,
@@ -568,19 +566,23 @@ class TestCodecMemo:
         assert _from_hex("0001", B16) == tiny
         assert _from_hex("0001", ftz) == ZERO
 
-    def test_operand_and_value_share_one_entry(self, b16):
-        # An operand decode stores canonical fields and builds no Dyadic; a
-        # value decode of the same text builds one and keeps it on them, so
-        # operands stay one type.
-        f = _from_hex("3e00", b16, True)
-        assert type(f) is Fields and (f.sign, f.sig, f.exp) == (1, 3, -1)
-        assert f.value is None
-        for _ in range(2):
-            v = _from_hex("3e00", b16)
-            assert type(v) is Dyadic and v == Dyadic(1, 3, -1)
-        assert f.value is v and _from_hex("3e00", b16, True) is f
-        f = _from_hex("8000", b16, True)
-        assert (f.sign, f.sig, f.exp) == (-1, 0, 0)
+    def test_reply_seeded_by_an_operand_is_not_parsed(self, monkeypatch):
+        # The reply 3f800000 is the text of the vector's own addend, so
+        # the value its exact encode stored is the reply's value.
+        calls = []
+
+        def record(*args, _fn=backend.decode):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(backend, "decode", record)
+        for fmt in (B16, B32):
+            fmt.encode_memo.clear()
+            fmt.decode_memo.clear()
+        vec = ProbeVector("echo", ONE, ((ZERO, ZERO),))
+        got = SimBackend(BlockFmaConfig()).run_vector(B16, B32, vec)
+        assert got is B32.decode_memo["3f800000"] and got == ONE
+        assert calls == []
 
     def test_memos_stay_within_the_bound(self):
         b32 = FpFormat("binary32", 24, 8, 32)
@@ -611,9 +613,8 @@ class TestCodecMemo:
             "binary32"])
     def test_exact_encode_seeds_what_decode_reads(self, fmt):
         # The entry an exact encode leaves for its text is what a decode
-        # of that text would store: the same Special, or the same
-        # canonical fields carrying the decoded value.  Every 16-bit
-        # pattern is covered.
+        # of that text would store: the same Special, or a Dyadic with
+        # the decoded value's fields.  Every 16-bit pattern is covered.
         fresh = dataclasses.replace(fmt)
         values = itertools.chain(
             (decode(p, fmt) for p in _finite_patterns(fmt)),
@@ -625,16 +626,13 @@ class TestCodecMemo:
             text = _to_hex(v, fresh, "pattern")
             (key, got), = fresh.decode_memo.items()
             bits = hex_to_bits(text, fmt)
-            want = decode_fields(bits, fmt)
+            want = decode(bits, fmt)
             if type(want) is Special:
                 ok = got is want
             else:
-                ref = decode(bits, fmt)
-                ok = (type(got) is Fields and type(got.value) is Dyadic
+                ok = (type(got) is Dyadic
                       and (got.sign, got.sig, got.exp)
-                      == (want.sign, want.sig, want.exp)
-                      and (got.value.sign, got.value.sig, got.value.exp)
-                      == (ref.sign, ref.sig, ref.exp))
+                      == (want.sign, want.sig, want.exp))
             if key != text or not ok:
                 bad.append(text)
         assert bad == []
@@ -654,7 +652,7 @@ class TestCodecMemo:
         # Every operand was encoded in this process, so only the reply,
         # a rounded result, is parsed, and only once.
         calls = []
-        for name in ("decode_fields", "hex_to_bits"):
+        for name in ("decode", "hex_to_bits"):
             def record(*args, _name=name, _fn=getattr(backend, name)):
                 calls.append((_name,) + args)
                 return _fn(*args)
@@ -666,7 +664,7 @@ class TestCodecMemo:
         sess = SimBackend(BlockFmaConfig())
         assert sess.run_vector(B16, B32, vec) == Dyadic.make(1, 13, -3)
         assert calls == [("hex_to_bits", "3fd00000", B32),  # 1.625
-                         ("decode_fields", 0x3fd00000, B32)]
+                         ("decode", 0x3fd00000, B32)]
 
     def test_only_valid_fixed_width_texts_are_memoised(self, b16):
         for _ in range(2):

@@ -20,7 +20,6 @@ from mmaprobe.formats import (
     RoundingMode,
     decode,
     pow2,
-    round_to_precision,
 )
 from mmaprobe.simulator import (
     AlignmentPolicy,
@@ -39,6 +38,7 @@ from mmaprobe.simulator import (
     max_detectable_carry_bits,
     mma_dot,
 )
+from test_formats import oracle_round_to_grid, to_b32
 
 B16 = REGISTRY["binary16"]
 B32 = REGISTRY["binary32"]
@@ -139,7 +139,7 @@ class TestBlockFma:
         exact = exact_oracle(c, [r], [ONE])
         wrap = block_fma(c, [r], [ONE],
                          BlockFmaConfig(**base), B32)
-        assert wrap != round_to_precision(exact, 24, RoundingMode.TRUNCATE)
+        assert wrap != to_b32(exact, RoundingMode.TRUNCATE)
         sat = block_fma(c, [r], [ONE],
                         BlockFmaConfig(**base,
                                        carry_overflow=CarryOverflow.SATURATE),
@@ -155,7 +155,7 @@ class TestBlockFma:
                        BlockFmaConfig(fma_width=2, n_eab=0, n_ecb=1,
                                       carry_overflow=CarryOverflow.ERROR),
                        B32)
-        assert ok == round_to_precision(exact, 24, RoundingMode.TRUNCATE)
+        assert ok == to_b32(exact, RoundingMode.TRUNCATE)
 
 
 class TestExactOracle:
@@ -328,15 +328,13 @@ def test_oracle_equivalence_with_oversized_accumulator():
                              rm_intra=rm)
         c, a, b = random_inputs(rng, k)
         got = block_fma(c, a, b, cfg, B32)
-        want = round_to_precision(exact_oracle(c, a, b), 24, rm)
+        want = to_b32(exact_oracle(c, a, b), rm)
         assert got == want, (trial, c, a, b, rm)
 
 
 def test_alignment_truncation_bound():
     """Each aligned addend loses under one grid step; the final rounding
     can add at most one ulp of the result on top of that."""
-    from mmaprobe.formats import round_to_grid
-
     rng = random.Random(77)
     for _ in range(1500):
         k = rng.randrange(1, 9)
@@ -346,7 +344,7 @@ def test_alignment_truncation_bound():
         c, a, b = random_inputs(rng, k)
         exact = exact_oracle(c, a, b)
         got = block_fma(c, a, b, cfg, B32)
-        ideal = round_to_precision(exact, 24, rm)
+        ideal = to_b32(exact, rm)
         addends = [c] + [x * y for x, y in zip(a, b)]
         live = [v for v in addends if not v.is_zero]
         if not live:
@@ -355,13 +353,13 @@ def test_alignment_truncation_bound():
         grid = ref - 24 + 1 - n_eab
         bound = Dyadic.make(1, k + 1, grid)
         # Aligned-versus-exact accumulation obeys the strict bound.
-        aligned = ZERO
-        for v in addends:
-            aligned = aligned + round_to_grid(v, grid, RoundingMode.TRUNCATE)
-        assert abs(aligned - exact) <= bound
+        truncated = [oracle_round_to_grid(v, grid, RoundingMode.TRUNCATE)
+                     for v in addends]
+        assert abs(sum(truncated) - exact.as_fraction()) \
+            <= bound.as_fraction()
         # Per-addend alignment truncation never rounds a value up.
-        for v in addends:
-            assert abs(round_to_grid(v, grid, RoundingMode.TRUNCATE)) <= abs(v)
+        for t, v in zip(truncated, addends):
+            assert abs(t) <= abs(v.as_fraction())
         # After the single output rounding, one result ulp may be added.
         ulp = pow2(got.floor_log2 - 23) if not got.is_zero else \
             pow2(grid)
