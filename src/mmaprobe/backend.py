@@ -22,6 +22,7 @@ are lowercase fixed-width hex, most-significant nibble first.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import select
@@ -31,7 +32,7 @@ import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .formats import (
     FpFormat,
@@ -116,8 +117,12 @@ class Handshake:
     pairs: tuple[tuple[str, str], ...]
     kmax: int
 
+    @functools.cached_property  # not a field, so ``==`` ignores it
+    def _pair_set(self) -> frozenset:
+        return frozenset(self.pairs)
+
     def supports(self, fin: str, fout: str) -> bool:
-        return (fin, fout) in self.pairs
+        return (fin, fout) in self._pair_set
 
     def to_json(self) -> str:
         return json.dumps({
@@ -135,8 +140,7 @@ class Handshake:
         ))
 
 
-@dataclass(frozen=True)
-class MmaRequest:
+class MmaRequest(NamedTuple):
     """One scalar MMA evaluation in wire form (hex operands)."""
 
     id: int
@@ -165,8 +169,7 @@ class MmaRequest:
         return req
 
 
-@dataclass(frozen=True)
-class MmaReply:
+class MmaReply(NamedTuple):
     id: int
     d: Optional[str] = None
     error_code: Optional[str] = None
@@ -261,12 +264,19 @@ class _SessionBase:
                 f"bad {fout.name} result {reply.d!r}: {e}") from e
 
 
-# Entries a format's encode or decode memo holds; a full memo is cleared.
-# Probe vectors repeat a few hundred patterns at most, while random
-# operands never repeat, so a larger memo buys nothing but memory.  An
-# exact encode also stores its text's value in the decode memo, so a
-# request this process encoded decodes no operand.
+# Entries a format's encode or decode memo holds; a full memo drops its
+# older half.  Probe vectors repeat a few hundred patterns at most, while
+# random operands never repeat, so a larger memo buys nothing but memory.
+# An exact encode also stores its text's value in the decode memo as the
+# newest entry, so a request this process encoded decodes no operand.
 _MEMO_BOUND = 1024
+
+
+def _make_room(memo: dict) -> None:
+    """Drop the older half of a full memo (dicts keep insertion order)."""
+    if len(memo) >= _MEMO_BOUND:
+        for key in list(memo)[:_MEMO_BOUND // 2]:
+            del memo[key]
 
 
 def _to_hex(v: Value, fmt: FpFormat, what: str,
@@ -280,8 +290,9 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
     itself (it hashes -0 equal to +0); enum members are keyed by their
     plain string values, which hash cheaply.  Without ``rm`` only exact
     results are stored, so an inexact value raises on every call; each
-    also seeds the decode memo with ``v``, the value ``_from_hex`` reads
-    from the text.  Rounded results seed nothing.
+    call, hit or miss, also stores ``v`` in the decode memo as the newest
+    entry for its text, the value ``_from_hex`` reads from it.  Rounded
+    results seed nothing.
     """
     mode = None if rm is None else rm._value_
     key = ((v._value_, mode) if type(v) is Special
@@ -293,14 +304,13 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
         if rm is None and flags.inexact:
             raise FormatContract(f"{what} not exact in {fmt.name}")
         text = bits_to_hex(bits, fmt)
-        if len(memo) >= _MEMO_BOUND:
-            memo.clear()
+        _make_room(memo)
         memo[key] = text
-        if rm is None:
-            decoded = fmt.decode_memo
-            if len(decoded) >= _MEMO_BOUND:
-                decoded.clear()
-            decoded[text] = v
+    if rm is None:
+        decoded = fmt.decode_memo
+        decoded.pop(text, None)
+        _make_room(decoded)
+        decoded[text] = v
     return text
 
 
@@ -315,8 +325,7 @@ def _from_hex(text: str, fmt: FpFormat) -> Value:
     if v is None:
         v = decode(hex_to_bits(text, fmt), fmt)
         if len(text) == fmt.hex_digits:
-            if len(memo) >= _MEMO_BOUND:
-                memo.clear()
+            _make_room(memo)
             memo[text] = v
     return v
 
@@ -347,8 +356,9 @@ def _dot_hex(a_hex: Sequence[str], b_hex: Sequence[str], c_hex: str,
     Raises ``ValueError`` on a malformed pattern, ``FormatContract`` when a
     product is not exact, ``ArithmeticError`` from the simulator.
     """
-    a = [_from_hex(h, fin) for h in a_hex]
-    b = [_from_hex(h, fin) for h in b_hex]
+    get = fin.decode_memo.get  # a stored value is never None or falsy
+    a = [get(h) or _from_hex(h, fin) for h in a_hex]
+    b = [get(h) or _from_hex(h, fin) for h in b_hex]
     c = _from_hex(c_hex, fout)
     exact_products(a, b, fin, fout)
     d = mma_dot(c, a, b, cfg, fout)

@@ -160,7 +160,7 @@ class Dyadic:
         return Dyadic(-self.sign, self.sig, self.exp)
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic(1, self.sig, self.exp) if self.sig else ZERO
+        return self if self.sign > 0 else -self
 
     def _signed_int_at(self, exp: int) -> int:
         """This value as a signed integer multiple of 2**exp (must be exact)."""

@@ -14,6 +14,13 @@ datapath (a two-operand add keeps the same fraction-bit budget below the
 larger exponent), rounded under the inter-block mode.  Which block takes
 the accumulator input, and the combine order, follow the configured
 ordering.
+
+Where this text leaves a choice, ``tests/reference_unit.py`` restates the
+reading taken: zero products have no exponent and never enter a block; a
+lone addend is still aligned and rounded; only a deferred block checks
+headroom (an adder normalises its carry-out), even beside a special
+result; rounding has no exponent range; a zero result is -0 only when
+every addend meeting in it is -0, and exact cancellation gives +0.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .formats import (
     NAN,
@@ -167,19 +174,12 @@ def exact_oracle(c: Dyadic, a: Sequence[Dyadic],
     return sum((x * y for x, y in zip(a, b)), c)
 
 
-def _resolve_specials(addends) -> Optional[Special]:
-    """IEEE-like special propagation over the addends; None if all finite."""
-    inf_sign = 0
-    for v in addends:
-        if type(v) is Special:  # isinstance() on an enum class is slower
-            if v.is_nan:
-                return NAN
-            if inf_sign and inf_sign != v.sign:
-                return NAN
-            inf_sign = v.sign
-    if inf_sign:
-        return POS_INF if inf_sign > 0 else NEG_INF
-    return None
+def _resolve_specials(specials: list) -> Special:
+    """IEEE-like propagation: a NaN, or infinities of both signs, give NaN;
+    otherwise the infinity."""
+    if NAN in specials or (POS_INF in specials and NEG_INF in specials):
+        return NAN
+    return specials[0]
 
 
 def _special_product(x: Value, y: Value) -> Special:
@@ -193,13 +193,6 @@ def _special_product(x: Value, y: Value) -> Special:
 # The datapath below runs on signed-integer terms ``(m, e)`` meaning
 # ``m * 2**e``, not necessarily canonical, from ``Dyadic`` operands.  A
 # zero term has no sign; ``mma_dot`` signs a zero result.
-def _product_terms(a: Sequence[Value], b: Sequence[Value]) -> list:
-    """Each exact product as a term, or as its special value."""
-    return [(x.sign * y.sign * x.sig * y.sig, x.exp + y.exp)
-            if type(x) is not Special and type(y) is not Special
-            else _special_product(x, y) for x, y in zip(a, b)]
-
-
 def _drop_bits(m: int, shift: int, rm: RoundingMode) -> int:
     """Signed ``m`` with its ``shift > 0`` low bits rounded away under rm."""
     return -_round_sig(-m, shift, -1, rm) if m < 0 else \
@@ -233,33 +226,44 @@ def _apply_headroom(total: int, cfg: BlockFmaConfig, p_out: int) -> int:
     return ((total + limit) % span) - limit
 
 
-def _add(terms: Sequence[tuple], cfg: BlockFmaConfig, p_out: int,
-         rm: RoundingMode, headroom: bool = False) -> tuple:
-    """Sum the terms on a grid ``p_out - 1 + n_eab`` fraction bits below
-    the largest one's leading bit, then round to ``p_out`` bits.  Only a
-    block checks ``headroom``: an adder normalises its carry-out."""
-    live = [t for t in terms if t[0]]
-    if not live:
-        return 0, 0
-    grid = max(m.bit_length() + e for m, e in live) - p_out - cfg.n_eab
+def _add(x: tuple, y: tuple, cfg: BlockFmaConfig, p_out: int,
+         rm: RoundingMode) -> tuple:
+    """``x + y`` through the two-operand adder, aligned as in ``_block``
+    and rounded under rm; it normalises its carry-out, so no headroom."""
+    (mx, ex), (my, ey) = x, y
+    if not (mx and my):  # a zero does not place the grid
+        if not (mx or my):
+            return 0, 0
+        ex = ey = ex if mx else ey
+    grid = max(mx.bit_length() + ex, my.bit_length() + ey) - p_out - cfg.n_eab
     policy = cfg.alignment_policy.rounding
-    total = sum(m << (e - grid) if e >= grid
-                else _drop_bits(m, grid - e, policy) for m, e in live)
-    if headroom:
-        total = _apply_headroom(total, cfg, p_out)
+    total = (mx << (ex - grid) if ex >= grid
+             else _drop_bits(mx, grid - ex, policy)) \
+        + (my << (ey - grid) if ey >= grid
+           else _drop_bits(my, grid - ey, policy))
     return _round_term(total, grid, p_out, rm)
 
 
-def _block(addends: list, cfg: BlockFmaConfig, p_out: int) -> tuple:
-    """One block over its addends, accumulator input first: deferred
-    mode rounds once, immediate mode after every addition."""
+def _block(start: tuple, terms: list, cfg: BlockFmaConfig,
+           p_out: int) -> tuple:
+    """A block from ``start`` (c or +0) over its nonzero product terms.
+    Immediate mode rounds after every add; deferred mode aligns the terms
+    ``p_out - 1 + n_eab`` fraction bits below the largest leading bit,
+    checks headroom and rounds once."""
     rm = cfg.rm_intra
-    if cfg.norm_policy is NormPolicy.DEFERRED:
-        return _add(addends, cfg, p_out, rm, headroom=True)
-    acc = addends[0]
-    for t in addends[1:]:
-        acc = _add((acc, t), cfg, p_out, rm)
-    return _round_term(*acc, p_out, rm)
+    if cfg.norm_policy is NormPolicy.IMMEDIATE:
+        acc = start
+        for t in terms:
+            acc = _add(acc, t, cfg, p_out, rm)
+        return _round_term(*acc, p_out, rm)
+    live = [start, *terms] if start[0] else terms
+    if not live:
+        return 0, 0
+    grid = max([m.bit_length() + e for m, e in live]) - p_out - cfg.n_eab
+    policy = cfg.alignment_policy.rounding
+    total = sum([m << (e - grid) if e >= grid
+                 else _drop_bits(m, grid - e, policy) for m, e in live])
+    return _round_term(_apply_headroom(total, cfg, p_out), grid, p_out, rm)
 
 
 def block_fma(c: Value, a: Sequence[Value], b: Sequence[Value],
@@ -276,11 +280,10 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
             cfg: BlockFmaConfig, fout: FpFormat) -> Value:
     """Full shared-dimension dot product: blocks in input order, then combine.
 
-    Products are split into ``fma_width`` chunks; the block holding the
-    accumulator input and the combine order follow ``cfg.ordering``; block
-    results merge pairwise through the limited two-operand adder under
-    ``rm_inter``.  Specials propagate whatever the grouping, so they are
-    resolved once over all products.
+    Products are split into ``fma_width`` chunks; ``cfg.ordering`` picks the
+    block holding the accumulator input and the combine order; block results
+    merge pairwise through the limited two-operand adder under ``rm_inter``.
+    Specials propagate whatever the grouping, so they resolve once.
     """
     if len(a) != len(b):
         raise SizeContract("operand lists differ in length")
@@ -289,31 +292,43 @@ def mma_dot(c: Value, a: Sequence[Value], b: Sequence[Value],
         raise SizeContract(
             f"k={k} exceeds tile capacity {cfg.max_k} "
             f"({cfg.fma_width} x {cfg.blocks_per_tile} blocks)")
-    terms = _product_terms(a, b)
     w = cfg.fma_width
-    # Each block starts from +0 except the one that takes c.
-    blocks = [[(0, 0), *terms[i:i + w]] for i in range(0, k, w)] or [[(0, 0)]]
-    if cfg.ordering is Ordering.C_WITH_LAST:
-        blocks.reverse()
+    # Each block holds its nonzero finite products; zeros take no part.
+    blocks = [[] for _ in range(0, k, w)] or [[]]
+    specials, dead = [], set()  # dead: the blocks that hold a special
+    for i, x, y in zip(range(k), a, b):
+        if type(x) is Special or type(y) is Special:
+            specials.append(_special_product(x, y))
+            dead.add(i // w)
+        elif m := x.sig * y.sig:
+            blocks[i // w].append((m if x.sign == y.sign else -m,
+                                   x.exp + y.exp))
     tree = cfg.ordering is Ordering.TREE_THEN_C  # c joins the block sum last
-    cterm = (c.sign * c.sig, c.exp) if type(c) is not Special else c
-    if not tree:
-        blocks[0][0] = cterm
+    # The block that takes c, in input order; every other starts from +0.
+    cblock = len(blocks) - 1 if cfg.ordering is Ordering.C_WITH_LAST else 0
+    start = (0, 0) if tree or type(c) is Special else (c.sign * c.sig, c.exp)
     p_out = fout.precision
-    special = _resolve_specials((c, *terms))
-    if special is not None:
+    if type(c) is Special:
+        specials.append(c)
+        if not tree:
+            dead.add(cblock)
+    if specials:
         if cfg.carry_overflow is CarryOverflow.ERROR:
             # A block without specials still checks its own headroom.
-            for blk in blocks:
-                if _resolve_specials(blk) is None:
-                    _block(blk, cfg, p_out)
-        return special
+            for j, blk in enumerate(blocks):
+                if j not in dead:
+                    _block(start if j == cblock else (0, 0), blk, cfg, p_out)
+        return _resolve_specials(specials)
 
-    acc = _block(blocks[0], cfg, p_out)
+    if cblock:
+        blocks.reverse()
+    acc = _block(start, blocks[0], cfg, p_out)
     for blk in blocks[1:]:
-        acc = _add((acc, _block(blk, cfg, p_out)), cfg, p_out, cfg.rm_inter)
+        if blk:  # an empty block adds +0, which leaves acc as it is
+            acc = _add(acc, _block((0, 0), blk, cfg, p_out), cfg, p_out,
+                       cfg.rm_inter)
     if tree:
-        acc = _add((cterm, acc), cfg, p_out, cfg.rm_inter)
+        acc = _add((c.sign * c.sig, c.exp), acc, cfg, p_out, cfg.rm_inter)
     m, e = acc
     if m:
         return Dyadic.make(1 if m > 0 else -1, abs(m), e)

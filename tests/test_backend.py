@@ -666,6 +666,39 @@ class TestCodecMemo:
         assert calls == [("hex_to_bits", "3fd00000", B32),  # 1.625
                          ("decode", 0x3fd00000, B32)]
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_random_operands_are_never_parsed(self, monkeypatch, seed):
+        # Twice as many requests as a memo holds, every operand distinct
+        # and the addends cycling through a small pool.  A full memo keeps
+        # its newer half, so a vector's operands survive their own seeding;
+        # an addend that hits the encode memo is stored again as the
+        # newest decode entry.  Only a reply text is ever parsed.
+        parsed = []
+
+        def record(text, fmt, _fn=backend.hex_to_bits):
+            parsed.append(text)
+            return _fn(text, fmt)
+
+        monkeypatch.setattr(backend, "hex_to_bits", record)
+        for fmt in (B16, B32):
+            fmt.encode_memo.clear()
+            fmt.decode_memo.clear()
+        rng = random.Random(seed)
+        sess = SimBackend(BlockFmaConfig())
+        ks = [rng.randint(1, 4) for _ in range(2 * _MEMO_BOUND)]
+        magnitudes = iter(rng.sample(range(0x0400, 0x7c00), 2 * sum(ks)))
+        addends = [Dyadic.make(rng.choice((1, -1)), rng.randrange(1 << 24),
+                               rng.randrange(-30, 0)) for _ in range(64)]
+        for i, k in enumerate(ks):
+            ops = [decode(next(magnitudes) | rng.getrandbits(1) << 15, B16)
+                   for _ in range(2 * k)]
+            vec = ProbeVector(f"random[{i}]", addends[i % len(addends)],
+                              tuple(zip(ops[:k], ops[k:])))
+            parsed.clear()
+            sess.run_vector(B16, B32, vec)
+            reply = json.loads(sess.log[-1].reply)["d"]
+            assert parsed in ([], [reply]), (i, parsed)
+
     def test_only_valid_fixed_width_texts_are_memoised(self, b16):
         for _ in range(2):
             with pytest.raises(ValueError):

@@ -82,6 +82,14 @@ class TestDyadic:
         assert hash(NEG_ZERO) == hash(ZERO)
         assert not NEG_ZERO < ZERO
 
+    @given(dyadics())
+    def test_abs_matches_fraction(self, a):
+        got = abs(a)
+        assert got.as_fraction() == abs(a.as_fraction()) and got.sign == 1
+        # A value whose sign is +1 is its own magnitude, +0 included.
+        assert (got is a) == (a.sign == 1)
+        assert abs(NEG_ZERO) is ZERO and abs(ZERO) is ZERO
+
     @given(dyadics(), dyadics())
     def test_add_matches_fraction(self, a, b):
         assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()

@@ -5,7 +5,7 @@ import random
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmaprobe.formats import (
@@ -18,6 +18,7 @@ from mmaprobe.formats import (
     ZERO,
     Dyadic,
     RoundingMode,
+    Special,
     decode,
     pow2,
 )
@@ -38,6 +39,7 @@ from mmaprobe.simulator import (
     max_detectable_carry_bits,
     mma_dot,
 )
+from reference_unit import reference_dot
 from test_formats import oracle_round_to_grid, to_b32
 
 B16 = REGISTRY["binary16"]
@@ -555,3 +557,108 @@ def test_mma_dot_outputs_pinned():
         assert kind in outs, kind
     digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()
     assert digest == MMA_DOT_PIN_SHA256
+
+
+# -- an independent reading of the unit -----------------------------------
+
+REFERENCE_PAIRS = [(REGISTRY[i], REGISTRY[o]) for i, o in (
+    ("binary16", "binary32"), ("bfloat16", "binary32"),
+    ("TensorFloat32", "binary32"), ("binary16", "binary16"),
+    ("bfloat16", "binary16"))]
+
+
+def wire_value(rng, fmt, centre, specials, spread=4):
+    """A value decoded from a ``fmt`` pattern: mostly normals whose
+    unbiased exponent lies within ``spread`` of ``centre``, some zeros of
+    both signs and subnormals, and with ``specials`` an occasional NaN or
+    infinity.  Fractions are often short, so ties and cancellations
+    occur."""
+    frac_w = fmt.precision - 1
+    top = (1 << fmt.exp_bits) - 1
+    roll = rng.random()
+    if specials and roll < 0.06:
+        biased, frac = top, rng.choice((0, 0, 1 << (frac_w - 1)))
+    elif roll < 0.16:
+        biased, frac = 0, rng.choice((0, rng.randrange(1 << frac_w)))
+    else:
+        biased = min(max(fmt.bias + centre
+                         + rng.randint(-spread, spread), 1), top - 1)
+        frac = rng.choice((rng.randrange(1 << frac_w),
+                           rng.randrange(4) << (frac_w - 2), 0))
+    bits = (rng.getrandbits(1) << (fmt.storage_bits - 1)) \
+        | (((biased << frac_w) | frac) << fmt.pad_bits)
+    return decode(bits, fmt)
+
+
+@st.composite
+def reference_units(draw):
+    """A unit off every axis of ``BlockFmaConfig``, a format pair and the
+    seed of its requests."""
+    cfg = BlockFmaConfig(
+        fma_width=draw(st.sampled_from((1, 2, 3, 4, 5, 8, 12, 16))),
+        n_eab=draw(st.integers(0, 3)), n_ecb=draw(st.integers(0, 4)),
+        alignment_policy=draw(st.sampled_from(list(AlignmentPolicy))),
+        norm_policy=draw(st.sampled_from(list(NormPolicy))),
+        rm_intra=draw(st.sampled_from(list(RoundingMode))),
+        rm_inter=draw(st.sampled_from(list(RoundingMode))),
+        ordering=draw(st.sampled_from(list(Ordering))),
+        blocks_per_tile=draw(st.integers(1, 4)),
+        carry_overflow=draw(st.sampled_from(list(CarryOverflow))))
+    fin, fout = draw(st.sampled_from(REFERENCE_PAIRS))
+    return cfg, fin, fout, draw(st.integers(0, 1 << 32))
+
+
+REFERENCE_SHAPES = ("dense", "live-ends", "one-binade", "signed-zeros")
+
+
+def reference_request(rng, cfg, fin, fout, shape):
+    """One request that follows the wire contract: operands decoded from
+    ``fin``, ``c`` from ``fout``, and only products that
+    ``exact_products`` accepts."""
+    k = rng.randint(0, cfg.max_k)
+    # A full block beside a special still checks its headroom.
+    specials = rng.random() < (0.5 if shape == "one-binade" else 0.2)
+    centre = rng.randrange(-6, 7)
+    spread = 0 if shape == "one-binade" else 4
+    a = [wire_value(rng, fin, centre, specials, spread) for _ in range(k)]
+    b = [wire_value(rng, fin, 0, specials) for _ in range(k)]
+    c = wire_value(rng, fout, 2 * centre + rng.randrange(-3, 4), specials)
+    if shape == "live-ends":
+        # The width scan's shape: live first and last products, zeros
+        # (of either sign) between them.
+        a[1:-1] = [rng.choice((ZERO, NEG_ZERO)) for _ in a[1:-1]]
+    elif shape == "one-binade":
+        # Same-sign products on one binade fill the carry headroom.
+        a = [abs(x) if type(x) is Dyadic else x for x in a]
+        b = [ONE] * k
+    elif shape == "signed-zeros":
+        # The sign rule of an all-zero sum decides.
+        a = [rng.choice((ZERO, NEG_ZERO)) for _ in a]
+        c = rng.choice((ZERO, NEG_ZERO))
+    for i, (x, y) in enumerate(zip(a, b)):
+        if type(x) is Dyadic and type(y) is Dyadic \
+                and (x.sig * y.sig).bit_length() > fout.precision:
+            b[i] = Dyadic(y.sign, 1, y.floor_log2)  # a power of two
+    exact_products(a, b, fin, fout)
+    return c, a, b
+
+
+def reference_output(fn, *args):
+    try:
+        v = fn(*args)
+    except CarryOverflowError:
+        return "CarryOverflowError"
+    return v if type(v) is Special else (v.sign, v.sig, v.exp)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(reference_units())
+def test_mma_dot_matches_reference_unit(unit):
+    cfg, fin, fout, seed = unit
+    rng = random.Random(seed)
+    for _ in range(2):
+        for shape in REFERENCE_SHAPES:
+            c, a, b = reference_request(rng, cfg, fin, fout, shape)
+            assert reference_output(mma_dot, c, a, b, cfg, fout) \
+                == reference_output(reference_dot, c, a, b, cfg,
+                                    fout.precision), (shape, c, a, b)
