@@ -264,19 +264,19 @@ class _SessionBase:
                 f"bad {fout.name} result {reply.d!r}: {e}") from e
 
 
-# Entries a format's encode or decode memo holds; a full memo drops its
-# older half.  Probe vectors repeat a few hundred patterns at most, while
-# random operands never repeat, so a larger memo buys nothing but memory.
-# An exact encode also stores its text's value in the decode memo as the
-# newest entry, so a request this process encoded decodes no operand.
+# Entries a format's encode or decode memo holds; a full memo is rebuilt
+# from its newer half.  Probe vectors repeat a few hundred patterns, and
+# random operands never repeat, so a larger memo buys only memory.  An
+# exact encode stores its text's value in the decode memo as the newest
+# entry, so a request this process encoded decodes no operand.
 _MEMO_BOUND = 1024
 
 
 def _make_room(memo: dict) -> None:
-    """Drop the older half of a full memo (dicts keep insertion order)."""
     if len(memo) >= _MEMO_BOUND:
-        for key in list(memo)[:_MEMO_BOUND // 2]:
-            del memo[key]
+        newer = list(memo.items())[_MEMO_BOUND // 2:]
+        memo.clear()
+        memo.update(newer)
 
 
 def _to_hex(v: Value, fmt: FpFormat, what: str,
