@@ -153,7 +153,7 @@ class MmaRequest(NamedTuple):
 
     def to_json(self) -> str:
         """``json.dumps`` of the fields with sorted keys, written directly."""
-        a, b = (", ".join(map(_quote, ops)) for ops in (self.a, self.b))
+        a, b = ", ".join(map(_quote, self.a)), ", ".join(map(_quote, self.b))
         return (f'{{"a": [{a}], "b": [{b}], "c": {_quote(self.c)}, '
                 f'"fin": {_quote(self.fin)}, "fout": {_quote(self.fout)}, '
                 f'"id": {self.id}, "k": {self.k}}}')
