@@ -491,10 +491,10 @@ PIN_PAIRS = [(REGISTRY[i], REGISTRY[o]) for i, o in (
     ("TensorFloat32", "binary32"), ("binary16", "binary16"))]
 
 
-def pin_value(rng, fmt, centre, specials):
+def pin_value(rng, fmt, centre, specials, spread=5):
     """A random ``fmt`` value: mostly normals whose biased exponent lies
-    near ``centre``, plus zeros of both signs, subnormals and, when
-    ``specials``, an occasional NaN or infinity."""
+    within ``spread`` of ``centre``, plus zeros of both signs, subnormals
+    and, when ``specials``, an occasional NaN or infinity."""
     frac_w = fmt.precision - 1
     top = (1 << fmt.exp_bits) - 1
     roll = rng.random()
@@ -503,7 +503,8 @@ def pin_value(rng, fmt, centre, specials):
     elif roll < 0.15:
         biased = 0
     else:
-        biased = min(max(centre + rng.randrange(-5, 6), 1), top - 1)
+        biased = min(max(centre + rng.randrange(-spread, spread + 1), 1),
+                     top - 1)
     frac = rng.randrange(1 << frac_w) if rng.random() < 0.7 else 0
     if biased == top and rng.random() < 0.7:
         frac = 0  # infinities more often than NaN
@@ -567,29 +568,6 @@ REFERENCE_PAIRS = [(REGISTRY[i], REGISTRY[o]) for i, o in (
     ("bfloat16", "binary16"))]
 
 
-def wire_value(rng, fmt, centre, specials, spread=4):
-    """A value decoded from a ``fmt`` pattern: mostly normals whose
-    unbiased exponent lies within ``spread`` of ``centre``, some zeros of
-    both signs and subnormals, and with ``specials`` an occasional NaN or
-    infinity.  Fractions are often short, so ties and cancellations
-    occur."""
-    frac_w = fmt.precision - 1
-    top = (1 << fmt.exp_bits) - 1
-    roll = rng.random()
-    if specials and roll < 0.06:
-        biased, frac = top, rng.choice((0, 0, 1 << (frac_w - 1)))
-    elif roll < 0.16:
-        biased, frac = 0, rng.choice((0, rng.randrange(1 << frac_w)))
-    else:
-        biased = min(max(fmt.bias + centre
-                         + rng.randint(-spread, spread), 1), top - 1)
-        frac = rng.choice((rng.randrange(1 << frac_w),
-                           rng.randrange(4) << (frac_w - 2), 0))
-    bits = (rng.getrandbits(1) << (fmt.storage_bits - 1)) \
-        | (((biased << frac_w) | frac) << fmt.pad_bits)
-    return decode(bits, fmt)
-
-
 @st.composite
 def reference_units(draw):
     """A unit off every axis of ``BlockFmaConfig``, a format pair and the
@@ -620,9 +598,11 @@ def reference_request(rng, cfg, fin, fout, shape):
     specials = rng.random() < (0.5 if shape == "one-binade" else 0.2)
     centre = rng.randrange(-6, 7)
     spread = 0 if shape == "one-binade" else 4
-    a = [wire_value(rng, fin, centre, specials, spread) for _ in range(k)]
-    b = [wire_value(rng, fin, 0, specials) for _ in range(k)]
-    c = wire_value(rng, fout, 2 * centre + rng.randrange(-3, 4), specials)
+    a = [pin_value(rng, fin, fin.bias + centre, specials, spread)
+         for _ in range(k)]
+    b = [pin_value(rng, fin, fin.bias, specials) for _ in range(k)]
+    c = pin_value(rng, fout, fout.bias + 2 * centre + rng.randrange(-3, 4),
+                  specials)
     if shape == "live-ends":
         # The width scan's shape: live first and last products, zeros
         # (of either sign) between them.
