@@ -300,8 +300,8 @@ def _to_hex(v: Value, fmt: FpFormat, what: str,
     memo = fmt.encode_memo
     text = memo.get(key)
     if text is None:
-        bits, flags = encode(v, fmt, rm or RoundingMode.RNE)
-        if rm is None and flags.inexact:
+        bits, inexact = encode(v, fmt, rm or RoundingMode.RNE)
+        if rm is None and inexact:
             raise FormatContract(f"{what} not exact in {fmt.name}")
         text = bits_to_hex(bits, fmt)
         _make_room(memo)

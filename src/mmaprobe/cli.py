@@ -105,9 +105,9 @@ def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
         "feature": "fma_width,n_ecb",
         "fin": fin.name,
         "fout": fout.name,
-        "vectors": [_vec_to_obj(v, fin, fout) for v, _, _ in width],
+        "vectors": [_vec_to_obj(v, fin, fout) for v, _ in width],
         "expected_exact": [_to_hex(exact, fout, f"exact sum of {v.label}")
-                           for v, exact, _ in width],
+                           for v, exact in width],
         "note": "iterate k upward; any width vector whose magnitude is off "
                 "its exact sum marks the block boundary at k-1; the carry "
                 "vector matching exactly records "

@@ -20,7 +20,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 __all__ = [
     "RoundingMode",
@@ -34,8 +34,6 @@ __all__ = [
     "ONE",
     "pow2",
     "sum_of_pow2",
-    "EncodeFlags",
-    "NO_FLAGS",
     "FpFormat",
     "REGISTRY",
     "lookup_format",
@@ -59,9 +57,6 @@ class RoundingMode(enum.Enum):
     RU = "RU"
     RD = "RD"
     TRUNCATE = "TruncateMagnitude"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 class Special(enum.Enum):
@@ -159,16 +154,6 @@ class Dyadic:
             return ZERO if self.sign == -1 else NEG_ZERO
         return Dyadic(-self.sign, self.sig, self.exp)
 
-    def __abs__(self) -> "Dyadic":
-        return self if self.sign > 0 else -self
-
-    def _signed_int_at(self, exp: int) -> int:
-        """This value as a signed integer multiple of 2**exp (must be exact)."""
-        shift = self.exp - exp
-        if shift < 0:
-            raise ValueError("value not exact on requested grid")
-        return self.sign * (self.sig << shift)
-
     def __add__(self, other: "Dyadic") -> "Dyadic":
         if not isinstance(other, Dyadic):
             return NotImplemented
@@ -180,7 +165,8 @@ class Dyadic:
         if other.sig == 0:
             return self
         e = min(self.exp, other.exp)
-        total = self._signed_int_at(e) + other._signed_int_at(e)
+        total = (self.sign * (self.sig << (self.exp - e))
+                 + other.sign * (other.sig << (other.exp - e)))
         if total == 0:
             return ZERO
         return Dyadic.make(1 if total > 0 else -1, abs(total), e)
@@ -199,34 +185,13 @@ class Dyadic:
         return Dyadic.make(self.sign * other.sign, self.sig * other.sig,
                            self.exp + other.exp)
 
-    # -- comparisons (numeric; -0 == +0) ------------------------------
-
-    def _cmp(self, other: "Dyadic") -> int:
-        if self.sig == 0 and other.sig == 0:
-            return 0
-        e = min(self.exp, other.exp) if self.sig and other.sig else \
-            (other.exp if self.sig == 0 else self.exp)
-        a = self._signed_int_at(e) if self.sig else 0
-        b = other._signed_int_at(e) if other.sig else 0
-        return (a > b) - (a < b)
+    # -- equality (numeric; -0 == +0) ---------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dyadic):
             return NotImplemented
         return (self.sig == other.sig and self.exp == other.exp
                 and (self.sign == other.sign or self.sig == 0))
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
         return hash((self.sign if self.sig else 1, self.sig, self.exp))
@@ -275,18 +240,7 @@ def _round_sig(sig: int, shift: int, sign: int, rm: RoundingMode) -> int:
     return kept + (kept & 1)
 
 
-class EncodeFlags(NamedTuple):
-    """Side conditions raised while encoding a value into a format."""
-
-    inexact: bool = False
-    overflow: bool = False
-    underflow_flush: bool = False
-
-
-NO_FLAGS = EncodeFlags()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpFormat:
     """A binary floating-point interchange format.
 
@@ -310,16 +264,13 @@ class FpFormat:
             raise ValueError("storage too narrow for the declared fields")
 
     @functools.cached_property
-    def bias(self) -> int:
+    def emax(self) -> int:
+        """The largest exponent, which is also the exponent bias."""
         return (1 << (self.exp_bits - 1)) - 1
 
     @functools.cached_property
-    def emax(self) -> int:
-        return self.bias
-
-    @functools.cached_property
     def emin(self) -> int:
-        return 1 - self.bias
+        return 1 - self.emax
 
     @functools.cached_property
     def pad_bits(self) -> int:
@@ -344,8 +295,8 @@ class FpFormat:
                            self.emax - self.precision + 1)
 
     # Memo tables of the wire codec (``backend._to_hex``/``_from_hex``).
-    # They belong to this object, so an equal or same-named format never
-    # shares entries, and they are not fields, so ``==`` ignores them.
+    # They belong to this object, which is equal only to itself, so a copy
+    # or a same-named format never shares entries.
 
     @functools.cached_property
     def encode_memo(self) -> dict:
@@ -354,9 +305,6 @@ class FpFormat:
     @functools.cached_property
     def decode_memo(self) -> dict:
         return {}
-
-    def __str__(self) -> str:
-        return self.name
 
 
 REGISTRY: dict[str, FpFormat] = {
@@ -370,12 +318,12 @@ REGISTRY: dict[str, FpFormat] = {
     )
 }
 
-_ALIASES = {
+# Registry names and common aliases, lower-cased, to registry names.
+_NAMES = {name.lower(): name for name in REGISTRY} | {
     "fp16": "binary16",
     "half": "binary16",
     "bf16": "bfloat16",
     "tf32": "TensorFloat32",
-    "tensorfloat32": "TensorFloat32",
     "fp32": "binary32",
     "single": "binary32",
     "fp64": "binary64",
@@ -384,15 +332,8 @@ _ALIASES = {
 
 
 def lookup_format(name: str) -> FpFormat:
-    """Resolve a format by registry name or common alias."""
-    if name in REGISTRY:
-        return REGISTRY[name]
-    key = _ALIASES.get(name.lower())
-    if key is None:
-        for reg in REGISTRY:
-            if reg.lower() == name.lower():
-                key = reg
-                break
+    """Resolve a format by registry name or common alias, in any case."""
+    key = _NAMES.get(name.lower())
     if key is None:
         raise KeyError(f"unknown format {name!r}")
     return REGISTRY[key]
@@ -417,14 +358,14 @@ def decode(bits: int, fmt: FpFormat) -> Value:
     elif biased == (1 << fmt.exp_bits) - 1:
         return NAN if frac else POS_INF if sign > 0 else NEG_INF
     else:
-        sig, exp = (1 << frac_w) | frac, biased - fmt.bias - frac_w
+        sig, exp = (1 << frac_w) | frac, biased - fmt.emax - frac_w
     shift = (sig & -sig).bit_length() - 1  # count of trailing zero bits
     return Dyadic(sign, sig >> shift, exp + shift)
 
 
 def encode(v: Value, fmt: FpFormat,
-           rm: RoundingMode = RoundingMode.RNE) -> tuple[int, EncodeFlags]:
-    """Round ``v`` into ``fmt`` under ``rm`` and return (bits, flags).
+           rm: RoundingMode = RoundingMode.RNE) -> tuple[int, bool]:
+    """Round ``v`` into ``fmt`` under ``rm`` and return (bits, inexact).
 
     A finite nonzero value rounds on its binade's grid of ``2**(p-1)``
     steps (the subnormal grid below the normal range).  Counted in steps of
@@ -432,12 +373,12 @@ def encode(v: Value, fmt: FpFormat,
     word, a carry into the next binade included.  A word at or past the
     all-ones exponent overflows under the usual directed-rounding rules
     (RNE to infinity, RZ/truncate to the largest finite, RU/RD by sign).
-    A subnormal word flushes to zero with ``underflow_flush`` set if the
-    format has no subnormals.
+    A subnormal word flushes to zero if the format has no subnormals.
+    ``inexact`` tells whether the bits' value differs from ``v``'s.
     """
     frac_w = fmt.precision - 1
     inf_word = ((1 << fmt.exp_bits) - 1) << frac_w
-    flags = NO_FLAGS
+    inexact = False
     if type(v) is Special:
         # A NaN is the canonical quiet NaN: top fraction bit set, positive.
         word = inf_word | (1 << (frac_w - 1) if v.is_nan else 0)
@@ -448,20 +389,19 @@ def encode(v: Value, fmt: FpFormat,
         grid = max(exp + sig.bit_length() - 1, fmt.emin) - frac_w
         drop = grid - exp
         steps = _round_sig(sig, drop, sign, rm) if drop > 0 else sig << -drop
-        if drop > 0 and steps << drop != sig:
-            flags = EncodeFlags(inexact=True)
+        inexact = drop > 0 and steps << drop != sig
         word = ((grid - fmt.emin + frac_w) << frac_w) + steps
         if word >= inf_word:
             away = RoundingMode.RU if sign > 0 else RoundingMode.RD
             to_inf = rm is RoundingMode.RNE or rm is away
             word = inf_word if to_inf else inf_word - 1
-            flags = EncodeFlags(inexact=True, overflow=True)
+            inexact = True
         elif word < 1 << frac_w and not fmt.subnormals:
             word = 0
-            flags = EncodeFlags(inexact=True, underflow_flush=True)
+            inexact = True
     if v.sign < 0:
         word |= 1 << (fmt.exp_bits + frac_w)
-    return word << fmt.pad_bits, flags
+    return word << fmt.pad_bits, inexact
 
 
 def bits_to_hex(bits: int, fmt: FpFormat) -> str:

@@ -262,7 +262,7 @@ def gen_subnormal_probes(fin: FpFormat, fout: FpFormat) -> tuple[Probe, Probe]:
     """
     tiny = pow2(max(fin.min_subnormal.floor_log2, fout.emin - fin.emax))
     scale = ONE
-    if tiny < fout.min_subnormal:
+    if tiny.exp < fout.min_subnormal.exp:
         scale = pow2(fout.emin - tiny.floor_log2)
     vec_in = ProbeVector("subnormal-in", ZERO, ((tiny, scale),))
     probe_in = Probe(
@@ -561,16 +561,15 @@ def carry_test_vector(k: int, fin: FpFormat, fout: FpFormat) -> ProbeVector:
 
 @_memoised
 def _scan_step(k: int, fin: FpFormat, fout: FpFormat,
-               ) -> tuple[tuple[tuple[ProbeVector, Dyadic, Dyadic], ...],
+               ) -> tuple[tuple[tuple[ProbeVector, Dyadic], ...],
                           ProbeVector, Optional[Dyadic]]:
     """What the width scan sends at ``k``: each width vector with its exact
-    sum and that sum's magnitude, then the carry vector and its exact sum,
-    which is None when the carry addend is not exact in ``fout`` (the
-    carry test is then not sent)."""
+    sum, then the carry vector and its exact sum, which is None when the
+    carry addend is not exact in ``fout`` (the carry test is then not
+    sent)."""
     width = []
     for vec in width_test_vectors(k, fin, fout):
-        exact = exact_oracle(vec.c, *zip(*vec.pairs))
-        width.append((vec, exact, abs(exact)))
+        width.append((vec, exact_oracle(vec.c, *zip(*vec.pairs))))
     cvec = carry_test_vector(k, fin, fout)
     carry_sum = (None if cvec.c.bit_count > fout.precision
                  else exact_oracle(cvec.c, *zip(*cvec.pairs)))
@@ -615,9 +614,10 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
     for k in range(2, k_max + 1):
         width, cvec, carry_sum = _scan_step(k, fin, fout)
         mismatched = []
-        for vec, _, magnitude in width:
+        for vec, exact in width:
             d = evaluate(vec)
-            if type(d) is Special or abs(d) != magnitude:
+            # Canonical values: equal (sig, exp) is equal magnitude, ±0 too.
+            if type(d) is Special or d.sig != exact.sig or d.exp != exact.exp:
                 mismatched.append(vec.label)
         if mismatched:
             return Algorithm1Result(

@@ -263,6 +263,13 @@ class TestSimBackend:
         vec = ProbeVector("big", ZERO, tuple([(ZERO, ZERO)] * 9))
         with pytest.raises(UnsupportedError):
             sess.run_vector(B16, B32, vec)
+        # A pair the handshake does not list is refused before sending.
+        assert ("binary32", "binary16") not in sess.handshake.pairs
+        one = ProbeVector("one", ZERO, ((ONE, ONE),))
+        with pytest.raises(UnsupportedError,
+                           match="does not support binary32->binary16"):
+            sess.run_vector(B32, B16, one)
+        assert sess.log == []
 
     @pytest.mark.parametrize("d", ["zzzzzzzz", "5", "3f80", "3f80_000",
                                    "+3f80000", "-3f80000", "3f8\u0660000"])
@@ -514,6 +521,8 @@ class TestExecLoopback:
             open_backend("ftp:nope")
         with pytest.raises(FileNotFoundError):
             open_backend("sim:no_such_preset")
+        with pytest.raises(ValueError, match="exec backend needs a command"):
+            open_backend("exec:")
 
 
 class TestCodecMemo:
@@ -737,6 +746,17 @@ class TestVectorWire:
             _vector_hex(vec, ftz, B32)
         assert list(vec.wire) == [(B16, B32)]
 
+    def test_copied_format_gets_its_own_entry(self):
+        # A format equals only itself, so a copy with the same fields has
+        # its own wire entries, as it has its own codec memos.
+        b16 = dataclasses.replace(B16)
+        assert b16 != B16 and b16 == b16
+        vec = ProbeVector("one", ONE, ((ONE, ONE),))
+        wire = _vector_hex(vec, B16, B32)
+        assert _vector_hex(vec, b16, B32) == wire
+        assert list(vec.wire) == [(B16, B32), (b16, B32)]
+        assert list(b16.encode_memo) == [(1, 1, 0, None)]
+
     def test_inexact_vector_raises_every_call_and_stores_nothing(self):
         vec = ProbeVector("fine", ONE + pow2(-24), ((ONE, ONE),))
         for _ in range(2):
@@ -777,7 +797,7 @@ def _random_pattern(rng, fmt):
     elif kind == 3:
         biased, frac = top, rng.choice((0, frac | 1))
     else:
-        biased = fmt.bias + rng.randint(-6, 6)
+        biased = fmt.emax + rng.randint(-6, 6)
         if kind % 2:
             frac &= -(1 << rng.randint(0, frac_w))
     bits = ((rng.getrandbits(1) << fmt.exp_bits | biased) << frac_w

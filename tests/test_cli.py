@@ -180,6 +180,44 @@ class TestProbeCommand:
         assert code == 64 and out == ""
         assert "error: argument --seed-params: t must be >= 3" in err
 
+    def test_seed_params_need_two_numbers(self, capsys):
+        code, out, err = run(capsys, "probe", "--backend", "exec:false",
+                             "--in", "binary16", "--out", "binary32",
+                             "--seed-params", "1")
+        assert code == 64 and out == ""
+        assert err.endswith("error: argument --seed-params: expected j,t\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("fma_width = 0", "fma_width must be >= 1"),
+        ("n_eab = -1", "extra bit counts must be >= 0"),
+        ("blocks_per_tile = 0", "blocks_per_tile must be >= 1"),
+    ])
+    def test_invalid_config_file_usage_error(self, capsys, tmp_path, line,
+                                             message):
+        path = tmp_path / "unit.cfg"
+        path.write_text(f"# an impossible unit\n{line}\n")
+        code, out, err = run(capsys, "probe", "--backend", f"sim:{path}",
+                             "--in", "binary16", "--out", "binary32")
+        assert code == 64 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kmax,code,width", [
+        ("9", 0, ("=", 8)), ("8", 2, ("?", None))])
+    def test_kmax_caps_the_scan(self, capsys, kmax, code, width):
+        # An eight-wide unit splits at k = 9: the scan sees the split at
+        # --kmax 9 and stops short of it at 8.  --kmax bounds the width
+        # scan only; the ordering probe still spans a two-block tile.
+        got, out, _ = run(capsys, "probe", "--backend", AMPERE,
+                          "--in", "binary16", "--out", "binary32",
+                          "--kmax", kmax, "--report", "structured")
+        assert got == code
+        (report,) = json.loads(out)["reports"]
+        field = report["features"]["fma_width"]
+        assert (field["qualifier"], field["value"]) == width
+        scan_ks = [json.loads(e["request"])["k"] for e in report["evidence"]
+                   if "[k=" in e["label"]]
+        assert max(scan_ks) == int(kmax)
+
     @pytest.mark.parametrize("kmax", ["-5", "0", "1"])
     def test_kmax_below_two_usage_error(self, capsys, kmax):
         # Rejected while parsing: no backend is opened, no request sent.

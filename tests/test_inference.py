@@ -417,6 +417,11 @@ class TestRendering:
         with pytest.raises(ValueError):
             render_report([], "fancy")
 
+    def test_parse_rejects_other_documents(self):
+        vectors = json.dumps({"schema": "mmaprobe-vectors/2", "records": []})
+        with pytest.raises(ValueError, match="not a structured report"):
+            parse_report(vectors)
+
     def test_field_render(self):
         assert Field(True, QUAL_EXACT).render() == "✓"
         assert Field(False, QUAL_EXACT).render() == "✗"

@@ -1,8 +1,19 @@
 """Verification-grid helper tests."""
 
+import copy
+
+import pytest
+
 from mmaprobe.backend import SimBackend
-from mmaprobe.inference import QUAL_EXACT, FeatureReport, Field, infer_features
+from mmaprobe.inference import (
+    QUAL_AT_LEAST,
+    QUAL_EXACT,
+    FeatureReport,
+    Field,
+    infer_features,
+)
 from mmaprobe.selftest import (
+    _UNDET,
     GridCase,
     check_case,
     expected_fields,
@@ -12,6 +23,8 @@ from mmaprobe.selftest import (
 from mmaprobe.simulator import (
     AlignmentPolicy,
     BlockFmaConfig,
+    NormPolicy,
+    Ordering,
     max_detectable_carry_bits,
 )
 
@@ -50,12 +63,57 @@ def test_injected_misconfiguration_is_named():
     assert any("n_ecb" in p for p in problems)
 
 
-def test_soundness_flags_fabricated_claims():
-    case = GridCase(BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3), "binary16")
+def test_expected_undetermined_field_is_named():
+    # An immediately normalising TreeThenC unit wider than three hides its
+    # block width; a report that claims one anyway must be flagged.
+    case = GridCase(BlockFmaConfig(fma_width=4, n_eab=1, n_ecb=2,
+                                   norm_policy=NormPolicy.IMMEDIATE,
+                                   ordering=Ordering.TREE_THEN_C), "binary16")
+    assert expected_fields(case)["fma_width"] == _UNDET
     report = infer_features(SimBackend(case.cfg), case.fin, case.fout)
-    assert soundness_problems(case, report) == []
-    report.fma_width.value = 5  # fabricate a wrong determinate claim
-    assert any("fma_width" in p for p in soundness_problems(case, report))
+    assert check_case(case, report) == []
+    report.fma_width = Field(4, QUAL_EXACT)
+    assert check_case(case, report) == [
+        "fma_width: expected undetermined, got =4"]
+
+
+# The default unit: width 8, n_eab 1, n_ecb 3, deferred normalisation,
+# truncation everywhere, CFirst.  One wrong claim for each refutation in
+# ``soundness_problems``; a bound above the true value is wrong too.
+FABRICATED = [
+    ("subnormal_in", Field(False, QUAL_EXACT)),
+    ("subnormal_out", Field(False, QUAL_EXACT)),
+    ("fma_width", Field(5, QUAL_EXACT)),
+    ("fma_width", Field(9, QUAL_AT_LEAST)),
+    ("n_eab", Field(2, QUAL_EXACT)),
+    ("n_eab", Field(2, QUAL_AT_LEAST)),
+    ("n_ecb", Field(2, QUAL_EXACT)),
+    ("n_ecb", Field(4, QUAL_AT_LEAST)),
+    ("immediate_norm", Field(True, QUAL_EXACT)),
+    ("rm_bfma", Field("RNE", QUAL_EXACT)),
+    ("rm_mbfma", Field("RU", QUAL_EXACT)),
+    ("rm_post_alignment", Field("RD", QUAL_EXACT)),
+    ("ordering", Field("TreeThenC", QUAL_EXACT)),
+]
+DEFAULT_CASE = GridCase(BlockFmaConfig(), "binary16")
+
+
+@pytest.fixture(scope="module")
+def sound_report():
+    report = infer_features(SimBackend(DEFAULT_CASE.cfg), DEFAULT_CASE.fin,
+                            DEFAULT_CASE.fout)
+    assert soundness_problems(DEFAULT_CASE, report) == []
+    return report
+
+
+@pytest.mark.parametrize("name,claim", FABRICATED,
+                         ids=[f"{n}{c.qualifier}{c.value}"
+                              for n, c in FABRICATED])
+def test_soundness_flags_fabricated_claims(sound_report, name, claim):
+    report = copy.deepcopy(sound_report)
+    setattr(report, name, claim)
+    [problem] = soundness_problems(DEFAULT_CASE, report)
+    assert problem.startswith(f"{name}={claim.qualifier}{claim.value!r}: ")
 
 
 def test_soundness_reads_alignment_rounding_from_config():
