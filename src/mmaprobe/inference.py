@@ -37,7 +37,8 @@ from .probes import (
     gen_subnormal_probes,
     run_algorithm1,
 )
-from .backend import BackendError, InternalError, UnsupportedError
+from .backend import (BackendError, InternalError, UnsupportedError,
+                      _parse_object)
 from .simulator import FormatContract
 
 __all__ = [
@@ -124,7 +125,7 @@ class FeatureReport:
 
     @staticmethod
     def from_json(text: str) -> "FeatureReport":
-        return FeatureReport.from_obj(json.loads(text))
+        return _parse_object(text, FeatureReport.from_obj)
 
 
 @dataclass
@@ -284,8 +285,6 @@ def _carry_headroom(s: _State) -> Field:
                    f"in {s.fout.name}")
     if skipped == 2:
         return Field.undetermined(why_skipped)
-    if s.scan.n_ecb == 0:
-        return Field(0, QUAL_EXACT)
     return Field(s.scan.n_ecb, QUAL_AT_LEAST, why_skipped if skipped else
                  "wider tests would need a larger block width")
 
@@ -342,11 +341,8 @@ def _normalisation(s: _State) -> Field:
             "timing test needs the addend inside a block")
     if s.ordering not in _C_ANCHORED:
         return Field.undetermined("ordering unknown")
-    if not ecb.determinate:
+    if not ecb.value:
         return Field.undetermined("carry presence unknown")
-    if ecb.value == 0:
-        return Field(True, QUAL_EXACT,
-                     "no carry headroom: immediate normalisation implied")
     if eab.determinate and (eab.value or 0) >= 1:
         return s.field(gen_normalisation_probe(
             s.fin, s.fout, "carry_and_align", s.opts.t))
@@ -400,11 +396,8 @@ def _rm_mbfma(s: _State) -> Field:
     width = s.width
     if width is None or s.ordering is None:
         return Field.undetermined("needs a known width and ordering")
-    eab = s.report.n_eab
     return s.field(gen_rm_mbfma_probe(
         s.fin, s.fout, width, j=s.opts.j,
-        # the half-ulp survives the combine alignment
-        n_eab=1 if eab.determinate and (eab.value or 0) >= 1 else None,
         live_position=1 if s.ordering == "CWithLast" else width + 1))
 
 
@@ -473,8 +466,9 @@ def render_report(reports, style: str = "table") -> str:
 
 
 def parse_report(text: str) -> list:
-    """Inverse of the structured rendering."""
-    obj = json.loads(text)
-    if obj.get("schema") != SCHEMA:
-        raise ValueError("not a structured report")
-    return [FeatureReport.from_obj(body) for body in obj["reports"]]
+    """Inverse of the structured rendering; other text is a ValueError."""
+    def reports(obj: dict) -> list:
+        if obj.get("schema") != SCHEMA:
+            raise ValueError("not a structured report")
+        return [FeatureReport.from_obj(body) for body in obj["reports"]]
+    return _parse_object(text, reports)

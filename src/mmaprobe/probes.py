@@ -68,10 +68,10 @@ QUAL_AT_LEAST = ">="
 QUAL_UNDETERMINED = "?"
 
 # Argument sets each memoised builder keeps.  One pass over the whole
-# selftest grid plus the benchmark's soundness slice reaches at most 68
-# per builder (``gen_rm_mbfma_probe``) and 56 for the width scan's per-k
-# step, so the bound holds every set the pipeline uses and caps what a
-# long ``probe --kmax`` scan can keep alive.
+# selftest grid plus the benchmark's soundness slice reaches at most 56,
+# for the width scan's per-k step (``_scan_step``; the next largest is
+# ``gen_rm_mbfma_probe`` at 34), so the bound holds every set the pipeline
+# uses and caps what a long ``probe --kmax`` scan can keep alive.
 _PROBE_MEMO = 256
 _memoised = functools.lru_cache(maxsize=_PROBE_MEMO)
 
@@ -434,33 +434,26 @@ def gen_normalisation_probe(fin: FpFormat, fout: FpFormat, case: str,
 
 
 @_memoised
-def gen_rm_mbfma_probe(fin: FpFormat, fout: FpFormat, n_fma: int,
-                       j: int = 0, n_eab: Optional[int] = None,
+def gen_rm_mbfma_probe(fin: FpFormat, fout: FpFormat, n_fma: int, j: int = 0,
                        live_position: Optional[int] = None) -> Probe:
     """Detect the rounding mode used to combine two block results.
 
-    The default vectors put a half-ulp-and-guard value in the first slot
-    of the second block; they need at least one extra alignment bit so the
-    half-ulp survives the combine alignment.  When the alignment width is
-    zero or unknown, a carry variant is used instead: the combine overflows
-    into the next binade, the normalisation shift exposes sub-ulp bits and
-    only the final combine rounding decides.  ``live_position`` moves the
-    live product when the accumulator input rides a block other than the
-    first.
+    The accumulator input meets a unit product in the first slot of the
+    second block, and their combine overflows into the next binade: no bit
+    reaches below the alignment boundary, so neither the alignment width
+    nor its reduction mode can move the result, and only the final combine
+    rounding decides.  ``live_position`` moves the live product when the
+    accumulator input rides a block other than the first.
     """
     if n_fma < 1:
         raise ValueError("n_fma must be >= 1")
     p = fout.precision
     pos_idx = live_position if live_position is not None else n_fma + 1
-    k = max(n_fma + 1, pos_idx)
-    if n_eab is not None and n_eab >= 1:
-        name, c, r = "rm-mbfma", ONE + pow2(-p + 1), pow2(-p) + pow2(-p - 1)
-        lo, hi = ONE + pow2(-p + 1), ONE + pow2(-p + 2)
-    else:
-        name, c, r = "rm-mbfma-carry", ONE + pow2(-p + 1) + pow2(-p + 2), ONE
-        lo, hi = pow2(1) + pow2(-p + 2), pow2(1) + pow2(-p + 3)
-    pos = _vector(f"{name}[j={j}]", c, {pos_idx: r}, fin, j, k)
-    return _rounding_probe("rm_mbfma", pos, lo, hi, j)
+    c = ONE + pow2(-p + 1) + pow2(-p + 2)
+    pos = _vector(f"rm-mbfma-carry[j={j}]", c, {pos_idx: ONE}, fin, j,
+                  max(n_fma + 1, pos_idx))
+    return _rounding_probe("rm_mbfma", pos, pow2(1) + pow2(-p + 2),
+                           pow2(1) + pow2(-p + 3), j)
 
 
 # -- combine ordering ---------------------------------------------------

@@ -422,6 +422,26 @@ class TestRendering:
         with pytest.raises(ValueError, match="not a structured report"):
             parse_report(vectors)
 
+    NO_FIN = json.dumps({
+        key: value for key, value
+        in FeatureReport("binary16", "binary32").to_obj().items()
+        if key != "fin"})
+
+    @pytest.mark.parametrize("text", [
+        "[]", '"x"', '{"schema": "mmaprobe-report/1"}',
+        '{"schema": "mmaprobe-report/1", "reports": [[]]}',
+        f'{{"schema": "mmaprobe-report/1", "reports": [{NO_FIN}]}}',
+    ], ids=["list", "string", "no-reports", "list-body", "no-fin"])
+    def test_parse_rejects_malformed_documents(self, text):
+        with pytest.raises(ValueError):
+            parse_report(text)
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', NO_FIN],
+                             ids=["list", "string", "no-fin"])
+    def test_from_json_rejects_malformed_reports(self, text):
+        with pytest.raises(ValueError):
+            FeatureReport.from_json(text)
+
     def test_field_render(self):
         assert Field(True, QUAL_EXACT).render() == "✓"
         assert Field(False, QUAL_EXACT).render() == "✗"

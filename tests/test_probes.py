@@ -34,6 +34,7 @@ from mmaprobe.probes import (
     run_algorithm1,
     width_test_vectors,
 )
+from mmaprobe.selftest import _RM_NAME
 from mmaprobe.simulator import (
     AlignmentPolicy,
     BlockFmaConfig,
@@ -323,54 +324,77 @@ class TestRmMbfmaProbe:
     @pytest.mark.parametrize("rm,name", [
         (RM.TRUNCATE, "Truncate"), (RM.RNE, "RNE"),
         (RM.RU, "RU"), (RM.RD, "RD")])
-    def test_paper_vectors(self, rm, name):
-        probe = gen_rm_mbfma_probe(B16, B32, 8, n_eab=1)
+    def test_combine_modes(self, rm, name):
+        probe = gen_rm_mbfma_probe(B16, B32, 8)
         cfg = BlockFmaConfig(rm_inter=rm)
         assert eval_probe(probe, cfg).value == name
 
     def test_truncate_value(self):
-        probe = gen_rm_mbfma_probe(B16, B32, 8, n_eab=1)
+        probe = gen_rm_mbfma_probe(B16, B32, 8)
         [pos, _] = probe.vectors
         d = mma_dot(pos.c, [a for a, _ in pos.pairs],
                     [b for _, b in pos.pairs], BlockFmaConfig(), B32)
-        assert d == ONE + pow2(-23)
+        assert d == pow2(1) + pow2(-22)
 
     def test_rne_value(self):
-        probe = gen_rm_mbfma_probe(B16, B32, 8, n_eab=1)
+        probe = gen_rm_mbfma_probe(B16, B32, 8)
         [pos, _] = probe.vectors
         cfg = BlockFmaConfig(rm_inter=RM.RNE)
         d = mma_dot(pos.c, [a for a, _ in pos.pairs],
                     [b for _, b in pos.pairs], cfg, B32)
-        assert d == ONE + pow2(-22)
+        assert d == pow2(1) + pow2(-21)
 
     def test_binary16_output(self):
-        probe = gen_rm_mbfma_probe(B16, B16, 8, n_eab=1)
+        probe = gen_rm_mbfma_probe(B16, B16, 8)
         cfg = BlockFmaConfig(rm_intra=RM.RNE, rm_inter=RM.RNE)
         assert eval_probe(probe, cfg, fout=B16).value == "RNE"
         [pos, _] = probe.vectors
         d = mma_dot(pos.c, [a for a, _ in pos.pairs],
                     [b for _, b in pos.pairs], cfg, B16)
-        assert d == ONE + pow2(-9)
+        assert d == pow2(1) + pow2(-8)
 
     @pytest.mark.parametrize("rm,name", [
         (RM.TRUNCATE, "Truncate"), (RM.RNE, "RNE"),
         (RM.RU, "RU"), (RM.RD, "RD")])
-    def test_carry_variant_no_alignment_bits(self, rm, name):
-        probe = gen_rm_mbfma_probe(B16, B32, 4, n_eab=0)
+    def test_no_alignment_bits(self, rm, name):
+        probe = gen_rm_mbfma_probe(B16, B32, 4)
         cfg = BlockFmaConfig(fma_width=4, n_eab=0, n_ecb=2, rm_inter=rm)
         assert eval_probe(probe, cfg).value == name
 
-    def test_carry_variant_intra_insensitive(self):
-        probe = gen_rm_mbfma_probe(B16, B32, 4, n_eab=0)
+    def test_intra_insensitive(self):
+        probe = gen_rm_mbfma_probe(B16, B32, 4)
         for intra in (RM.TRUNCATE, RM.RNE, RM.RU, RM.RD):
             cfg = BlockFmaConfig(fma_width=4, n_eab=0, n_ecb=2,
                                  rm_intra=intra, rm_inter=RM.RNE)
             assert eval_probe(probe, cfg).value == "RNE"
 
     def test_live_position_for_last_anchored(self):
-        probe = gen_rm_mbfma_probe(B16, B32, 8, n_eab=1, live_position=1)
+        probe = gen_rm_mbfma_probe(B16, B32, 8, live_position=1)
         cfg = BlockFmaConfig(ordering=Ordering.C_WITH_LAST, rm_inter=RM.RNE)
         assert eval_probe(probe, cfg).value == "RNE"
+
+    @pytest.mark.parametrize("width", [2, 8])
+    @pytest.mark.parametrize("fout", [B32, B16], ids=lambda f: f.name)
+    def test_alignment_cannot_move_the_verdict(self, fout, width):
+        """No bit of the combine reaches below the alignment boundary, so
+        the probe names ``rm_inter`` whatever the alignment width, its
+        reduction mode, the ordering or the normalisation timing."""
+        wrong = []
+        for ordering in Ordering:
+            live = 1 if ordering is Ordering.C_WITH_LAST else width + 1
+            probe = gen_rm_mbfma_probe(B16, fout, width, live_position=live)
+            for policy in AlignmentPolicy:
+                for n_eab in range(4):
+                    for norm in NormPolicy:
+                        for rm in RM:
+                            cfg = BlockFmaConfig(
+                                fma_width=width, n_eab=n_eab,
+                                alignment_policy=policy, norm_policy=norm,
+                                rm_inter=rm, ordering=ordering)
+                            got = eval_probe(probe, cfg, fout=fout).value
+                            if got != _RM_NAME[rm]:
+                                wrong.append((cfg, got))
+        assert wrong == []
 
 
 class TestOrderingProbe:
@@ -426,7 +450,7 @@ class TestScaleCovariance:
 
     @pytest.mark.parametrize("j", [0, 1, 8])
     def test_rm_mbfma(self, j):
-        probe = gen_rm_mbfma_probe(B16, B32, 8, j=j, n_eab=1)
+        probe = gen_rm_mbfma_probe(B16, B32, 8, j=j)
         assert eval_probe(probe, BlockFmaConfig(rm_inter=RM.RD)).value == "RD"
 
     BUILDERS = {
@@ -441,11 +465,8 @@ class TestScaleCovariance:
         "ordering": lambda fin, fout, j: [
             gen_ordering_probe(fin, fout, n, j=j) for n in (1, 4)],
         "rm-mbfma": lambda fin, fout, j: [
-            gen_rm_mbfma_probe(fin, fout, n, j=j, n_eab=1, live_position=lp)
+            gen_rm_mbfma_probe(fin, fout, n, j=j, live_position=lp)
             for n, lp in ((1, None), (4, None), (4, 9))],
-        "rm-mbfma-carry": lambda fin, fout, j: [
-            gen_rm_mbfma_probe(fin, fout, n, j=j, n_eab=e, live_position=lp)
-            for n, e, lp in ((1, 0, None), (4, None, None), (4, 0, 9))],
     }
 
     @pytest.mark.parametrize("j", [-3, 1, 5])
@@ -486,8 +507,7 @@ class TestOperandDiscipline:
         yield gen_alignment_cancel_probe(fin, fout, 2)
         yield gen_normalisation_probe(fin, fout, "carry_and_align")
         yield gen_normalisation_probe(fin, fout, "carry_only")
-        yield gen_rm_mbfma_probe(fin, fout, 8, n_eab=1)
-        yield gen_rm_mbfma_probe(fin, fout, 8, n_eab=0)
+        yield gen_rm_mbfma_probe(fin, fout, 8)
         yield gen_ordering_probe(fin, fout, 8)
 
     @pytest.mark.parametrize("fin", [B16, BF16, TF32], ids=lambda f: f.name)
@@ -585,7 +605,7 @@ MEMOISED_CALLS = [
     (gen_alignment_bits_probe, (B16, B32, 2), {}),
     (gen_alignment_cancel_probe, (B16, B32, 2), {}),
     (gen_normalisation_probe, (B16, B32, "carry_and_align", 3), {}),
-    (gen_rm_mbfma_probe, (B16, B32, 8), {"n_eab": 1, "live_position": 9}),
+    (gen_rm_mbfma_probe, (B16, B32, 8), {"live_position": 9}),
     (gen_ordering_probe, (B16, B32, 8), {}),
     (_scan_step, (4, B16, B32), {}),
 ]

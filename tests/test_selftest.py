@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from mmaprobe.backend import SimBackend
+from mmaprobe.formats import RoundingMode
 from mmaprobe.inference import (
     QUAL_AT_LEAST,
     QUAL_EXACT,
@@ -125,3 +126,48 @@ def test_soundness_reads_alignment_rounding_from_config():
     report.rm_post_alignment = Field("Truncate", QUAL_EXACT)
     [problem] = soundness_problems(case, report)
     assert problem.startswith("rm_post_alignment=")
+
+
+def _deferred(fin, fout, width, eab, ecb, align, intra, inter, ordering,
+              blocks):
+    return GridCase(BlockFmaConfig(
+        fma_width=width, n_eab=eab, n_ecb=ecb, alignment_policy=align,
+        rm_intra=intra, rm_inter=inter, ordering=ordering,
+        blocks_per_tile=blocks), fin, fout)
+
+
+RM = RoundingMode
+# Off-grid units whose reports once made a wrong claim; each id names it.
+# Rounding alignment once misled the half-ulp combine-rounding probe; a
+# carry test that never matched once read as an exact zero, and implied
+# immediate normalisation.
+OFF_GRID = [
+    ("rm_mbfma=RD", _deferred(
+        "bfloat16", "binary32", 2, 1, 1, AlignmentPolicy.RD, RM.RU,
+        RM.TRUNCATE, Ordering.C_WITH_LAST, 4)),
+    ("rm_mbfma=RU", _deferred(
+        "binary16", "binary16", 2, 1, 1, AlignmentPolicy.RU, RM.RD, RM.RZ,
+        Ordering.C_FIRST, 3)),
+    ("n_ecb=0-w2", _deferred(
+        "binary16", "binary16", 2, 0, 1, AlignmentPolicy.RD, RM.RNE, RM.RNE,
+        Ordering.C_WITH_LAST, 2)),
+    ("n_ecb=0-w3", _deferred(
+        "binary16", "binary16", 3, 0, 2, AlignmentPolicy.RD, RM.RNE, RM.RD,
+        Ordering.C_WITH_LAST, 4)),
+] + [  # the binary16->binary16 n_eab=0 units of the benchmark's slice
+    (f"n_ecb=0-w{width}-{ordering.value}", _deferred(
+        "binary16", "binary16", width, 0,
+        max_detectable_carry_bits(width, 11), AlignmentPolicy.TRUNCATE_BITS,
+        rm, rm, ordering, 2))
+    for width, ordering, rm in ((2, Ordering.C_FIRST, RM.RD),
+                                (2, Ordering.C_WITH_LAST, RM.RNE),
+                                (8, Ordering.C_FIRST, RM.RD),
+                                (8, Ordering.C_WITH_LAST, RM.RNE))
+]
+
+
+@pytest.mark.parametrize("case", [c for _, c in OFF_GRID],
+                         ids=[name for name, _ in OFF_GRID])
+def test_off_grid_reports_are_sound(case):
+    report = infer_features(SimBackend(case.cfg), case.fin, case.fout)
+    assert soundness_problems(case, report) == []
