@@ -321,14 +321,6 @@ class TestNormalisationProbe:
 
 
 class TestRmMbfmaProbe:
-    @pytest.mark.parametrize("rm,name", [
-        (RM.TRUNCATE, "Truncate"), (RM.RNE, "RNE"),
-        (RM.RU, "RU"), (RM.RD, "RD")])
-    def test_combine_modes(self, rm, name):
-        probe = gen_rm_mbfma_probe(B16, B32, 8)
-        cfg = BlockFmaConfig(rm_inter=rm)
-        assert eval_probe(probe, cfg).value == name
-
     def test_truncate_value(self):
         probe = gen_rm_mbfma_probe(B16, B32, 8)
         [pos, _] = probe.vectors
@@ -367,11 +359,6 @@ class TestRmMbfmaProbe:
             cfg = BlockFmaConfig(fma_width=4, n_eab=0, n_ecb=2,
                                  rm_intra=intra, rm_inter=RM.RNE)
             assert eval_probe(probe, cfg).value == "RNE"
-
-    def test_live_position_for_last_anchored(self):
-        probe = gen_rm_mbfma_probe(B16, B32, 8, live_position=1)
-        cfg = BlockFmaConfig(ordering=Ordering.C_WITH_LAST, rm_inter=RM.RNE)
-        assert eval_probe(probe, cfg).value == "RNE"
 
     @pytest.mark.parametrize("width", [2, 8])
     @pytest.mark.parametrize("fout", [B32, B16], ids=lambda f: f.name)
