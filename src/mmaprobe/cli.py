@@ -98,7 +98,8 @@ def _probe_to_record(name: str, probe: Probe, fin: FpFormat,
 
 
 def _algorithm1_record(fin: FpFormat, fout: FpFormat, k: int) -> dict:
-    """Every vector ``run_algorithm1`` sends at ``k``, in sending order."""
+    """Every vector ``run_algorithm1`` may send at ``k``, in sending order
+    (it stops at the first off width vector and may skip ``carry[k]``)."""
     width, cvec, carry_sum = _scan_step(k, fin, fout)
     rec = {
         "probe": "fma_width",

@@ -512,7 +512,8 @@ def width_test_vectors(k: int, fin: FpFormat,
       errors otherwise cancel across the two stages.
     * straddle and straddle-cancel (k >= 4): two unit-plus-fine pairs at
       the extreme ends with no accumulator involvement, for units that
-      combine block results before the addend joins.
+      combine block results before the addend joins.  Listed last:
+      ``run_algorithm1`` reads ``straddle_only`` off its first off vector.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -575,7 +576,7 @@ class Algorithm1Result:
 
     n_fma: Optional[int]  # None: no block split up to k_max
     n_ecb: int
-    # Only straddle vectors mismatched: the addend never met a block.
+    # The first off vector was a straddle one: the addend never met a block.
     straddle_only: bool = False
     # First k whose carry test was not sent: its addend is inexact in the
     # output format, and so is every larger k's.
@@ -587,40 +588,38 @@ def run_algorithm1(evaluate: Callable[[ProbeVector], Value],
                    k_max: int) -> Algorithm1Result:
     """Iterative search for the FMA width and detectable carry bits.
 
-    Per shared dimension ``k`` starting at two: run every boundary vector
-    (if ANY magnitude differs from the exact sum the width is ``k - 1`` and
-    the loop stops), then the carry test, recording
-    ``floor(log2(k * (2 - 2^(1-p_in))))`` whenever it comes back exact.
-    The mirrored and straddle vectors beyond the published head pair catch
-    block splits that the head vectors cannot see when the accumulator
-    input joins a different partial sum.  The carry test is sent only
-    while its accumulator input is exact in ``fout``; the first ``k``
-    where it is not is recorded as ``carry_skipped_at``.  Each ``k``'s
-    vectors and exact sums are built once per format pair (``_scan_step``).
+    Per shared dimension ``k`` starting at two: send the boundary vectors
+    until one's magnitude is off its exact sum (the width is then ``k - 1``,
+    and that vector alone decides ``straddle_only``), then the carry test,
+    recording ``floor(log2(k * (2 - 2^(1-p_in))))`` whenever it comes back
+    exact.  That bound never falls as ``k`` grows, so the carry test is sent
+    only while its bound is above the bits recorded.  The mirrored and
+    straddle vectors beyond the published head pair catch block splits
+    that the head vectors cannot see when the accumulator input joins a
+    different partial sum.  The carry test is sent only while its
+    accumulator input is exact in ``fout``; the first ``k`` where it is not
+    is recorded as ``carry_skipped_at``.  Each ``k``'s vectors and exact
+    sums are built once per format pair (``_scan_step``).
 
-    ``evaluate`` receives a vector and must return the device output;
-    ``k_max`` exhaustion without a mismatch leaves ``n_fma`` at None
-    (width at least ``k_max``).
+    ``evaluate`` receives a vector and must return the device output; no
+    split up to ``k_max`` leaves ``n_fma`` at None (width at least k_max).
     """
     n_ecb = 0
     skipped_at: Optional[int] = None
     for k in range(2, k_max + 1):
         width, cvec, carry_sum = _scan_step(k, fin, fout)
-        mismatched = []
         for vec, exact in width:
             d = evaluate(vec)
             # Canonical values: equal (sig, exp) is equal magnitude, ±0 too.
             if type(d) is Special or d.sig != exact.sig or d.exp != exact.exp:
-                mismatched.append(vec.label)
-        if mismatched:
-            return Algorithm1Result(
-                n_fma=k - 1, n_ecb=n_ecb,
-                straddle_only=all(l.startswith("width-straddle")
-                                  for l in mismatched),
-                carry_skipped_at=skipped_at)
+                return Algorithm1Result(
+                    n_fma=k - 1, n_ecb=n_ecb,
+                    straddle_only=vec.label.startswith("width-straddle"),
+                    carry_skipped_at=skipped_at)
         if skipped_at is None:
+            bits = max_detectable_carry_bits(k, fin.precision)
             if carry_sum is None:
                 skipped_at = k
-            elif evaluate(cvec) == carry_sum:
-                n_ecb = max_detectable_carry_bits(k, fin.precision)
+            elif bits > n_ecb and evaluate(cvec) == carry_sum:
+                n_ecb = bits
     return Algorithm1Result(None, n_ecb, carry_skipped_at=skipped_at)

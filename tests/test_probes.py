@@ -4,6 +4,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmaprobe.formats import (
     NAN,
@@ -17,6 +19,7 @@ from mmaprobe.formats import (
     pow2,
 )
 from mmaprobe.probes import (
+    Algorithm1Result,
     NotFactorable,
     Probe,
     ProbeVector,
@@ -41,6 +44,7 @@ from mmaprobe.simulator import (
     NormPolicy,
     Ordering,
     exact_oracle,
+    max_detectable_carry_bits,
     mma_dot,
 )
 
@@ -582,6 +586,112 @@ class TestWidthSearch:
             for vec in width_test_vectors(k, B16, B32):
                 total = exact_sum(vec)
                 assert total.bit_count <= 24
+
+    def test_scan_sends_only_what_can_change_its_result(self):
+        # Per k: the width vectors up to the first off one (none here),
+        # then carry[k] only while its bound is above the bits recorded.
+        sent = []
+
+        def evaluate(vec):
+            sent.append(vec.label)
+            return sim_eval(cfg)(vec)
+
+        cfg = BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3)
+        assert self.run(cfg) == run_algorithm1(evaluate, B16, B32,
+                                               cfg.max_k)
+        assert len(sent) == 80  # 95 when every vector went out
+        assert [l for l in sent if l.startswith("carry")] == \
+            ["carry[k=2]", "carry[k=3]", "carry[k=5]"]
+
+
+def reference_algorithm1(evaluate, fin, fout, k_max):
+    """The width scan as a full sweep: every width vector at each ``k``,
+    then every carry test that is sent at all."""
+    n_ecb, skipped_at = 0, None
+    for k in range(2, k_max + 1):
+        width, cvec, carry_sum = _scan_step(k, fin, fout)
+        off = [vec.label for vec, exact in width
+               if not same_magnitude(evaluate(vec), exact)]
+        if off:
+            return Algorithm1Result(
+                k - 1, n_ecb, all(l.startswith("width-straddle") for l in off),
+                skipped_at)
+        if skipped_at is None:
+            if carry_sum is None:
+                skipped_at = k
+            elif evaluate(cvec) == carry_sum:
+                n_ecb = max_detectable_carry_bits(k, fin.precision)
+    return Algorithm1Result(None, n_ecb, carry_skipped_at=skipped_at)
+
+
+def same_magnitude(d, exact):
+    return isinstance(d, Dyadic) and (d.sig, d.exp) == (exact.sig, exact.exp)
+
+
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(x in rest for x in short)
+
+
+WIDTH_FAMILIES = ("head", "tail", "head-cancel", "tail-cancel", "straddle",
+                  "straddle-cancel")
+# How a scripted unit answers a listed label: off the exact sum in
+# magnitude, a NaN, or the exact magnitude with the sign flipped (a width
+# vector reads that as a match, the carry test as a miss).
+PERTURB = {
+    "ulp": lambda x: Dyadic.make(x.sign, 2 * x.sig + 1, x.exp - 1),
+    "nan": lambda x: NAN,
+    "negated": lambda x: -x,
+}
+
+
+@st.composite
+def scripted_replies(draw):
+    """Labels answered off their exact sum, with how: some width vectors
+    at one ``k`` (half the time straddle ones only) and some carry tests
+    anywhere."""
+    k = draw(st.integers(2, 17))
+    families = draw(st.sampled_from([WIDTH_FAMILIES, WIDTH_FAMILIES[4:]]))
+    width = draw(st.sets(st.sampled_from(
+        [f"width-{f}[k={k}]{neg}" for f in families
+         for neg in ("", "-neg")]), min_size=1))
+    carry = draw(st.sets(st.integers(2, 17).map(lambda k: f"carry[k={k}]")))
+    return {label: draw(st.sampled_from(sorted(PERTURB)))
+            for label in sorted(width | carry)}
+
+
+class TestScanStopsEarly:
+    """The scan sends a prefix of the full sweep's requests and returns
+    the full sweep's result, whatever a unit answers."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from([(B16, B32), (BF16, B16)]), st.integers(2, 17),
+           scripted_replies())
+    def test_result_does_not_depend_on_unsent_requests(self, pair, k_max,
+                                                       replies):
+        fin, fout = pair
+
+        def scripted(log):
+            def evaluate(vec):
+                log.append(vec.label)
+                exact = exact_sum(vec)
+                how = replies.get(vec.label)
+                return PERTURB[how](exact) if how else exact
+            return evaluate
+
+        sent, swept = [], []
+        res = run_algorithm1(scripted(sent), fin, fout, k_max)
+        assert res == reference_algorithm1(scripted(swept), fin, fout, k_max)
+        assert is_subsequence(sent, swept)
+
+    @pytest.mark.parametrize("fin, fout", [(B16, B32), (BF16, B16)],
+                             ids=["binary16-binary32", "bfloat16-binary16"])
+    def test_straddle_vectors_come_last(self, fin, fout):
+        for k in range(4, 18):
+            width, _, _ = _scan_step(k, fin, fout)
+            straddle = [l.startswith("width-straddle")
+                        for l in (vec.label for vec, _ in width)]
+            assert straddle == sorted(straddle) and straddle.count(True) == 4
 
 
 # Every memoised builder with one argument set the pipeline uses.

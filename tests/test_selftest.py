@@ -24,6 +24,7 @@ from mmaprobe.selftest import (
 from mmaprobe.simulator import (
     AlignmentPolicy,
     BlockFmaConfig,
+    CarryOverflow,
     NormPolicy,
     Ordering,
     max_detectable_carry_bits,
@@ -170,4 +171,20 @@ OFF_GRID = [
                          ids=[name for name, _ in OFF_GRID])
 def test_off_grid_reports_are_sound(case):
     report = infer_features(SimBackend(case.cfg), case.fin, case.fout)
+    assert soundness_problems(case, report) == []
+
+
+def test_unsent_carry_test_cannot_abort_the_width_scan():
+    # This unit answers a carry test needing more than its 2 carry bits
+    # with an Internal error.  The scan recorded 3 bits at k=5, so it
+    # sends no carry test from k=6 on: the width and ordering are found,
+    # where a scan sending every carry test ended undetermined.
+    case = GridCase(BlockFmaConfig(
+        fma_width=8, n_eab=0, n_ecb=2, rm_intra=RM.RU, rm_inter=RM.RU,
+        ordering=Ordering.TREE_THEN_C, carry_overflow=CarryOverflow.ERROR),
+        "binary16")
+    report = infer_features(SimBackend(case.cfg), case.fin, case.fout)
+    assert (report.fma_width.value, report.fma_width.qualifier) == \
+        (8, QUAL_EXACT)
+    assert report.ordering == Field("TreeThenC", QUAL_EXACT)
     assert soundness_problems(case, report) == []
