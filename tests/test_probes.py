@@ -590,13 +590,13 @@ class TestWidthSearch:
     def test_scan_sends_only_what_can_change_its_result(self):
         # Per k: the width vectors up to the first off one (none here),
         # then carry[k] only while its bound is above the bits recorded.
-        sent = []
+        cfg = BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3)
+        unit, sent = sim_eval(cfg), []
 
         def evaluate(vec):
             sent.append(vec.label)
-            return sim_eval(cfg)(vec)
+            return unit(vec)
 
-        cfg = BlockFmaConfig(fma_width=8, n_eab=1, n_ecb=3)
         assert self.run(cfg) == run_algorithm1(evaluate, B16, B32,
                                                cfg.max_k)
         assert len(sent) == 80  # 95 when every vector went out
@@ -639,7 +639,7 @@ WIDTH_FAMILIES = ("head", "tail", "head-cancel", "tail-cancel", "straddle",
 # magnitude, a NaN, or the exact magnitude with the sign flipped (a width
 # vector reads that as a match, the carry test as a miss).
 PERTURB = {
-    "ulp": lambda x: Dyadic.make(x.sign, 2 * x.sig + 1, x.exp - 1),
+    "off": lambda x: Dyadic.make(x.sign, 2 * x.sig + 1, x.exp - 1),
     "nan": lambda x: NAN,
     "negated": lambda x: -x,
 }
@@ -661,8 +661,8 @@ def scripted_replies(draw):
 
 
 class TestScanStopsEarly:
-    """The scan sends a prefix of the full sweep's requests and returns
-    the full sweep's result, whatever a unit answers."""
+    """The scan sends an ordered subsequence of the full sweep's requests
+    and returns the full sweep's result, whatever a unit answers."""
 
     @settings(derandomize=True, max_examples=200)
     @given(st.sampled_from([(B16, B32), (BF16, B16)]), st.integers(2, 17),
