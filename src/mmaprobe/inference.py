@@ -136,8 +136,8 @@ class InferOptions:
 
 
 _C_ANCHORED = ("CFirst", "CWithLast")
-# A straddle-only split at this width or wider follows four-term prefixes
-# that accumulated losslessly, which excludes per-addition rounding.
+# At an exact width of this or more, the scan's k=4 vectors came back
+# exact inside one block, which excludes per-addition rounding.
 _DEFERRED_PROOF_WIDTH = 4
 
 
@@ -151,7 +151,6 @@ class _State:
     opts: InferOptions
     report: FeatureReport
     scan: Optional[Algorithm1Result] = None  # set by the width stage
-    deferred_proven: bool = False
 
     @property
     def width(self) -> Optional[int]:
@@ -184,7 +183,6 @@ class _Planner(_State):
             if value is not None:
                 setattr(report, name, Field(value, QUAL_EXACT))
         super().__init__(None, fin, fout, opts, report)
-        self.deferred_proven = (self.width or 0) >= _DEFERRED_PROOF_WIDTH
         self.sent: list[Probe] = []
 
     def field(self, probe: Probe) -> Field:
@@ -243,11 +241,6 @@ def _block_width(s: _State) -> Field:
     # Straddle-only split: the addend never met a block, so the boundary
     # position aliases small widths unless the tile geometry (two blocks
     # per inner product) pins it.
-    s.deferred_proven = scan.n_fma >= _DEFERRED_PROOF_WIDTH
-    if s.deferred_proven:
-        s.report.notes.append(
-            "four-term prefixes accumulated losslessly before the "
-            "split: per-addition rounding excluded")
     if s.session.handshake.kmax == 2 * scan.n_fma:
         return Field(scan.n_fma, QUAL_EXACT,
                      "straddle split corroborated by tile k0 = 2*width")
@@ -299,7 +292,7 @@ def _alignment_bits(s: _State) -> Field:
     if s.ordering is None:
         return Field.undetermined("ordering unknown")
     tree = s.ordering == "TreeThenC"
-    if tree and not s.deferred_proven:
+    if tree and width < _DEFERRED_PROOF_WIDTH:
         return Field.undetermined(
             "addend outside blocks and per-addition rounding not excluded")
     for n in range(1, width):
@@ -328,12 +321,12 @@ def _normalisation(s: _State) -> Field:
         return Field.undetermined("width unknown")
     eab = s.report.n_eab
     ecb = s.report.n_ecb
-    if width == 1 and ecb.determinate and ecb.value == 0:
+    if width == 1:
         return Field(True, QUAL_EXACT,
                      "no carry headroom detected: every addition is "
                      "normalised before the next")
     if s.ordering == "TreeThenC":
-        if s.deferred_proven:
+        if width >= _DEFERRED_PROOF_WIDTH:
             return Field(False, QUAL_EXACT,
                          "lossless multi-term prefixes in the width scan "
                          "exclude per-addition rounding")
@@ -365,14 +358,6 @@ def _rm_bfma(s: _State) -> Field:
     ecb = s.report.n_ecb
     if not (ecb.determinate and (ecb.value or 0) >= 2):
         return Field.undetermined("needs two carry headroom bits")
-    eab = s.report.n_eab
-    if eab.determinate and (eab.value or 0) >= 1:
-        # The carry-based vectors keep every bit above the alignment
-        # boundary, so extra alignment bits cannot disturb them; note the
-        # assumption rather than skipping.
-        s.report.notes.append(
-            "per-block rounding vectors assume no reliance on "
-            "alignment bits; they hold for the detected width")
     return s.field(gen_rm_bfma_probe(s.fin, s.fout, s.opts.j))
 
 

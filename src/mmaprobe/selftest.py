@@ -104,7 +104,8 @@ _UNDET = ("undet",)
 
 
 def expected_fields(case: GridCase) -> dict:
-    """Per-field contract for one grid configuration (see module docs)."""
+    """Per-field contract for one grid configuration (see module docs);
+    every report field is undetermined unless a row below sets it."""
     cfg = case.cfg
     n, eab = cfg.fma_width, cfg.n_eab
     deferred = cfg.norm_policy is NormPolicy.DEFERRED
@@ -113,70 +114,52 @@ def expected_fields(case: GridCase) -> dict:
     rm_inter = _RM_NAME[cfg.rm_inter]
     ord_name = cfg.ordering.value
 
-    exp = {
-        "subnormal_in": _exact(True),
-        "subnormal_out": _exact(True),
-    }
+    exp = dict.fromkeys(FeatureReport(case.fin, case.fout).field_map(),
+                        _UNDET)
+    exp["subnormal_in"] = exp["subnormal_out"] = _exact(True)
 
     if deferred and c_anchored:
         exp["fma_width"] = _exact(n)
-        exp["n_ecb"] = _exact(0) if n == 1 else _at_least(cfg.n_ecb)
         if n == 1:
+            # Single-addition blocks; the ordering stays undetermined
+            # because width 1 masks wider immediate units.
+            exp["n_ecb"] = _exact(0)
             exp["n_eab"] = _at_least(0)
-            exp["immediate_norm"] = _exact(True)  # single-addition blocks
-            exp["rm_bfma"] = _UNDET
-            exp["rm_post_alignment"] = _UNDET
-            exp["rm_mbfma"] = _UNDET
-            exp["ordering"] = _UNDET  # width 1 masks wider immediate units
+            exp["immediate_norm"] = _exact(True)
             return exp
+        exp["n_ecb"] = _at_least(cfg.n_ecb)
         exp["ordering"] = _exact(ord_name)
         exp["n_eab"] = _exact(eab) if eab <= n - 2 else _at_least(n - 1)
+        # At eab == 0 and n == 2 the carry-only test needs 3 products.
         if eab >= 1 or n >= 3:
             exp["immediate_norm"] = _exact(False)
-        else:  # eab == 0 and n == 2: the carry-only test needs 3 products
-            exp["immediate_norm"] = _UNDET
-        exp["rm_bfma"] = _exact(rm_intra) if n >= 3 else _UNDET
-        exp["rm_post_alignment"] = (
-            _exact("Truncate") if eab <= min(1, n - 2) else _UNDET)
+        if n >= 3:
+            exp["rm_bfma"] = _exact(rm_intra)
+        if eab <= min(1, n - 2):
+            exp["rm_post_alignment"] = _exact("Truncate")
         exp["rm_mbfma"] = _exact(rm_inter)
         return exp
 
     if deferred:  # TreeThenC
-        if n >= 4:
+        if n >= 3:
             exp["fma_width"] = _exact(n)
             exp["ordering"] = _exact(ord_name)
+            exp["rm_mbfma"] = _exact(rm_inter)
+        # At n == 3 the boundary is found at k=4, where a per-addition-
+        # rounding unit would split too: timing unproven, so the sweep
+        # stays off.
+        if n >= 4:
             exp["n_eab"] = _exact(eab)  # cancellation sweep, cap n-1 >= 3
             exp["immediate_norm"] = _exact(False)
-            exp["rm_mbfma"] = _exact(rm_inter)
-        elif n == 3:
-            # Boundary found at k=4, where a per-addition-rounding unit
-            # would split too: timing unproven, so the sweep stays off.
-            exp["fma_width"] = _exact(n)
-            exp["ordering"] = _exact(ord_name)
-            exp["n_eab"] = _UNDET
-            exp["immediate_norm"] = _UNDET
-            exp["rm_mbfma"] = _exact(rm_inter)
-        else:
-            exp["fma_width"] = _UNDET
-            exp["ordering"] = _UNDET
-            exp["n_eab"] = _UNDET
-            exp["immediate_norm"] = _UNDET
-            exp["rm_mbfma"] = _UNDET
-        exp["n_ecb"] = _UNDET
-        exp["rm_bfma"] = _UNDET
-        exp["rm_post_alignment"] = _UNDET
         return exp
 
     # Immediate normalisation.
     if c_anchored:
+        # Single-block folds mask the combine order.
         exp["fma_width"] = _exact(1)
         exp["n_ecb"] = _exact(0)
         exp["n_eab"] = _at_least(0)
         exp["immediate_norm"] = _exact(True)
-        exp["ordering"] = _UNDET  # single-block folds mask the combine order
-        exp["rm_bfma"] = _UNDET
-        exp["rm_post_alignment"] = _UNDET
-        exp["rm_mbfma"] = _UNDET
         return exp
     # Immediate TreeThenC: the straddle split still marks the physical
     # block boundary; only the three-wide case survives the tile cross
@@ -185,15 +168,6 @@ def expected_fields(case: GridCase) -> dict:
         exp["fma_width"] = _exact(3)
         exp["ordering"] = _exact(ord_name)
         exp["rm_mbfma"] = _exact(rm_inter)  # both combines round inter-block
-    else:
-        exp["fma_width"] = _UNDET
-        exp["ordering"] = _UNDET
-        exp["rm_mbfma"] = _UNDET
-    exp["n_ecb"] = _UNDET
-    exp["n_eab"] = _UNDET
-    exp["immediate_norm"] = _UNDET
-    exp["rm_bfma"] = _UNDET
-    exp["rm_post_alignment"] = _UNDET
     return exp
 
 
