@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -108,6 +109,19 @@ def test_grid_report_writer_equals_json_dumps(grid_results):
                  if report.to_json()
                  != json.dumps(report.to_obj(), sort_keys=True, indent=2)]
     assert len(results) == 5184 and not differing, differing[:5]
+
+
+# Notes hold only run events; every claim about the unit is a field.
+RUN_EVENT_NOTE = re.compile(
+    r"^\d+ feature\(s\) undetermined$|^aborted: |^exec child restarted: ")
+
+
+def test_grid_notes_record_run_events_only(grid_results):
+    """No grid report carries a note other than a run event."""
+    results, _ = grid_results
+    stray = [(case, note) for case, report in results
+             for note in report.notes if not RUN_EVENT_NOTE.match(note)]
+    assert not stray, stray[:5]
 
 
 # sha256 of the ``to_json()`` reports below at non-zero scale seeds, joined

@@ -120,6 +120,22 @@ class TestGates:
         assert (f["n_eab"].qualifier, f["n_eab"].value) == (QUAL_AT_LEAST, 1)
         assert not f["rm_post_alignment"].determinate
 
+    def test_alignment_unknown_leaves_timing_undetermined(self,
+                                                          monkeypatch):
+        def unfactorable(*args, **kwargs):
+            raise probes.NotFactorable("no alignment vector here")
+
+        monkeypatch.setattr(inference, "gen_alignment_bits_probe",
+                            unfactorable)
+        monkeypatch.setattr(inference, "gen_alignment_cancel_probe",
+                            unfactorable)
+        rep = infer(load_config("ampere"))
+        assert rep.complete
+        assert not rep.n_eab.determinate
+        assert rep.n_eab.reason == "no alignment vector here"
+        assert not rep.immediate_norm.determinate
+        assert rep.immediate_norm.reason == "alignment presence unknown"
+
     def test_backend_abort_marks_partial(self):
         class Dying(SimBackend):
             def __init__(self, cfg):
@@ -197,6 +213,20 @@ class TestGates:
 
 
 class TestReportInvariants:
+    def test_ambiguous_straddle_split_leaves_only_the_count_note(self):
+        # An immediate width-2 TreeThenC unit with three blocks splits at
+        # k=5 like a deferred width-4 unit; per-addition rounding is not
+        # excluded, and the report claims nothing outside its fields.
+        cfg = BlockFmaConfig(fma_width=2, n_eab=1, n_ecb=2,
+                             norm_policy=NormPolicy.IMMEDIATE,
+                             ordering=Ordering.TREE_THEN_C,
+                             blocks_per_tile=3)
+        rep = infer(cfg)
+        assert rep.complete
+        assert rep.notes == ["8 feature(s) undetermined"]
+        assert not rep.fma_width.determinate
+        assert soundness_problems(GridCase(cfg, "binary16"), rep) == []
+
     def test_each_field_is_set_by_one_stage(self):
         names = [name for name, _ in _STAGES]
         assert sorted(names) == sorted(FeatureReport("x", "y").field_map())

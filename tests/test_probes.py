@@ -223,11 +223,24 @@ class TestRmBfmaProbe:
                     [b for _, b in pos.pairs], cfg, B16)
         assert d == Dyadic.from_int(4) + pow2(-8)
 
-    def test_alignment_bit_indifference(self):
-        probe = gen_rm_bfma_probe(B16, B32)
-        for n_eab in (0, 1, 2):
-            cfg = BlockFmaConfig(n_eab=n_eab, rm_intra=RM.RNE)
-            assert eval_probe(probe, cfg).value == "RNE"
+    @pytest.mark.parametrize("fout", [B32, B16], ids=lambda f: f.name)
+    @pytest.mark.parametrize("width", [3, 8])
+    @pytest.mark.parametrize("ordering",
+                             [Ordering.C_FIRST, Ordering.C_WITH_LAST])
+    @pytest.mark.parametrize("policy", list(AlignmentPolicy))
+    def test_alignment_bit_indifference(self, policy, ordering, width,
+                                        fout):
+        # The carry vectors keep every bit above the alignment boundary,
+        # so neither the extra bits nor their reduction can move them.
+        probe = gen_rm_bfma_probe(B16, fout)
+        n_ecb = max_detectable_carry_bits(width, B16.precision)
+        for n_eab in range(4):
+            for rm in RoundingMode:
+                cfg = BlockFmaConfig(fma_width=width, n_eab=n_eab,
+                                     n_ecb=n_ecb, alignment_policy=policy,
+                                     rm_intra=rm, ordering=ordering)
+                assert eval_probe(probe, cfg, fout=fout).value \
+                    == _RM_NAME[rm], (n_eab, rm)
 
 
 class TestAlignmentProbes:
