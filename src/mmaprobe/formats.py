@@ -47,9 +47,10 @@ __all__ = [
 class RoundingMode(enum.Enum):
     """IEEE 754 directed/nearest modes plus magnitude truncation.
 
-    ``TRUNCATE`` (drop significand bits beyond the boundary) is value-identical
-    to ``RZ`` on sign-magnitude data at a final rounding stage, but probe
-    classifiers report it as a distinct named verdict, so it stays distinct.
+    ``TRUNCATE`` (drop significand bits beyond the boundary) gives the same
+    value as ``RZ`` everywhere in this package, and classifiers read both as
+    "Truncate"; it keeps its own name because presets and config files
+    spell it ``TruncateMagnitude``.
     """
 
     RNE = "RNE"

@@ -4,7 +4,9 @@ Probes have preconditions on other features and on where the accumulator
 input travels.  ``_STAGES`` lists the report fields in the order they are
 resolved, each with the stage that resolves it from the fields before it.
 A stage whose preconditions are unmet records an undetermined value with
-the reason; a verdict is never guessed.  The report's evidence is the
+the reason; a verdict is never guessed.  Every claim about the unit is a
+field: notes record only run events (the undetermined count, an abort,
+exec child restarts, and ``probe --stamp``).  The report's evidence is the
 session log of the exchanges it sent, in order, including the one that
 aborted an incomplete report, so third parties can re-classify the raw
 observations.
