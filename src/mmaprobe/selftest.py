@@ -155,7 +155,7 @@ def expected_fields(case: GridCase) -> dict:
 
     # Immediate normalisation.
     if c_anchored:
-        # Single-block folds mask the combine order.
+        # Ordering stays undetermined: single-block folds mask it.
         exp["fma_width"] = _exact(1)
         exp["n_ecb"] = _exact(0)
         exp["n_eab"] = _at_least(0)
